@@ -26,8 +26,9 @@
 
 use reap_bench::{access_budget, peak_rss_bytes, reset_peak_rss};
 use reap_core::capture_store::{CaptureFormat, CapturePolicy, CaptureStore};
-use reap_core::sweep::replay_ecc_sweep_with;
-use reap_core::{EccStrength, Experiment, ProtectionScheme, Report};
+use reap_core::{
+    run_job, CaptureSource, EccStrength, KernelMode, ProtectionScheme, Report, SweepMode,
+};
 use reap_trace::SpecWorkload;
 use std::time::Instant;
 
@@ -42,17 +43,25 @@ fn failure_bits(r: &Report) -> [u64; 4] {
     ]
 }
 
+/// One workload's ECC-sweep reports, one per strength.
+type SweepReports = Vec<(Option<EccStrength>, Report)>;
+
 /// One store-backed ECC sweep over every workload, timed.
-fn sweep_all(accesses: u64, store: &CaptureStore) -> (f64, Vec<Vec<(EccStrength, Report)>>) {
+fn sweep_all(accesses: u64, store: &CaptureStore) -> (f64, Vec<SweepReports>) {
+    let source = CaptureSource::new(None, Some(store.clone()));
     let t0 = Instant::now();
     let results = SpecWorkload::ALL
         .iter()
         .map(|&w| {
-            let experiment = Experiment::paper_hierarchy()
-                .workload(w)
-                .accesses(accesses)
-                .seed(reap_bench::DEFAULT_SEED);
-            replay_ecc_sweep_with(&experiment, Some(store)).expect("sweep")
+            run_job(
+                &source,
+                w,
+                accesses,
+                reap_bench::DEFAULT_SEED,
+                SweepMode::EccSweep,
+                KernelMode::Exact,
+            )
+            .expect("sweep")
         })
         .collect();
     (t0.elapsed().as_secs_f64(), results)
@@ -80,7 +89,7 @@ struct FormatRun {
     bytes_written: u64,
     bytes_read: u64,
     warm_peak_rss: Option<u64>,
-    results: Vec<Vec<(EccStrength, Report)>>,
+    results: Vec<SweepReports>,
 }
 
 /// Runs the cold+warm sweep pair for one on-disk format in a fresh store

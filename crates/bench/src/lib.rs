@@ -12,7 +12,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use reap_core::{Experiment, ProtectionScheme, Report};
+use reap_core::sweep::pool_map;
+use reap_core::{
+    run_job, CaptureSource, Experiment, KernelMode, ProtectionScheme, Report, SweepMode,
+};
 use reap_trace::SpecWorkload;
 
 /// Default measured accesses per workload — ~10× the original budget,
@@ -98,15 +101,32 @@ pub fn format_improvement(workload: SpecWorkload, gain: f64) -> String {
     format!("{:<12} {:>10.1}x", workload.name(), gain)
 }
 
-/// Convenience: the Fig. 5/6 per-workload sweep across all profiles,
-/// parallelized over the machine's cores (simulations are independent and
-/// deterministic, so scheduling never changes results).
+/// Convenience: the Fig. 5/6 per-workload sweep across all profiles —
+/// one standard [`run_job`] per workload (the job body of `reap sweep`),
+/// parallelized over the machine's cores (simulations are independent
+/// and deterministic, so scheduling never changes results).
 pub fn sweep_all_workloads(accesses: u64) -> Vec<(SpecWorkload, Report)> {
     let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    reap_core::sweep::sweep_workloads(accesses, DEFAULT_SEED, parallelism)
-        .into_iter()
-        .map(|(w, r)| (w, r.expect("paper configuration is valid")))
-        .collect()
+    let source = CaptureSource::default();
+    let reports = pool_map(
+        SpecWorkload::ALL.to_vec(),
+        parallelism,
+        "run_parallel",
+        |w| {
+            let (_, report) = run_job(
+                &source,
+                w,
+                accesses,
+                DEFAULT_SEED,
+                SweepMode::Standard,
+                KernelMode::Exact,
+            )
+            .expect("paper configuration is valid")
+            .remove(0);
+            report
+        },
+    );
+    SpecWorkload::ALL.into_iter().zip(reports).collect()
 }
 
 /// Arms the global telemetry for a regenerator run, so capture/replay

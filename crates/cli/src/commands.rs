@@ -6,7 +6,7 @@ use crate::args::{
 };
 use reap_cache::HierarchyConfig;
 use reap_core::campaign::{run_sweep_campaign, CampaignConfig, CampaignError, SweepMode};
-use reap_core::{Experiment, SweepRow};
+use reap_core::{CaptureSource, Experiment, ExperimentError, KernelMode, Simulator, SweepRow};
 use reap_mtj::temperature::at_temperature;
 use reap_mtj::{read_disturbance_probability, MtjParams, MtjParamsBuilder};
 use reap_obs::report::{gate, render_diff, render_report, ReportOptions};
@@ -355,8 +355,12 @@ fn run<W: Write>(args: RunArgs, mut out: W) -> io::Result<i32> {
             }
         }
     }
-    let store = args.capture.to_store();
-    let code = match experiment.run_with(store.as_ref()) {
+    let source = CaptureSource::new(None, args.capture.to_store());
+    let report = Simulator::new(experiment.config().clone())
+        .map_err(ExperimentError::from)
+        .and_then(|point| source.replay(&experiment, &[point], KernelMode::Exact))
+        .map(|mut reports| reports.remove(0));
+    let code = match report {
         Ok(report) => {
             write!(out, "{report}")?;
             writeln!(

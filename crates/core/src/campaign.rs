@@ -1,9 +1,9 @@
 //! Fault-tolerant sweep campaigns: supervision + checkpoint/resume.
 //!
-//! [`run_sweep_campaign`] is the resilient successor of
-//! [`crate::sweep::sweep_workloads`] / [`crate::sweep::replay_ecc_sweep_all`]:
-//! the same 21-workload batches, but each job runs under the supervised
-//! pool ([`crate::supervise`]) so a panic or hang in one configuration is
+//! [`run_sweep_campaign`] runs the 21-workload sweep: one [`run_job`]
+//! per workload — the same job body `reap serve` and the figure
+//! regenerators use — under the supervised pool ([`crate::supervise`]),
+//! so a panic or hang in one configuration is
 //! retried, then reported — never fatal to the batch — and completed jobs
 //! stream into a [`crate::checkpoint`] file so a killed campaign resumes
 //! where it stopped. A resumed campaign's rows are **bit-identical** to
@@ -18,9 +18,12 @@
 //! point (the checkpoint stays valid because every result line is
 //! flushed before the next job is counted).
 
+use crate::capture_source::CaptureSource;
 use crate::capture_store::CaptureStore;
 use crate::checkpoint::{self, CheckpointMeta, CheckpointWriter, SweepRow};
 use crate::experiment::{Experiment, ExperimentError};
+use crate::report::Report;
+use crate::simulator::{EccStrength, Simulator};
 use crate::supervise::{pool_map_supervised, JobError, SupervisorConfig};
 use reap_reliability::KernelMode;
 use reap_trace::SpecWorkload;
@@ -198,36 +201,56 @@ impl From<CheckpointError> for CampaignError {
     }
 }
 
-/// Computes one workload's rows — the campaign's job body.
-fn run_job(
+/// Scores one workload at `mode`'s analysis points — the one
+/// per-workload job body behind [`run_sweep_campaign`], `reap serve`
+/// and the figure regenerators.
+///
+/// The capture comes from `source` (hot layer, store or trace) and is
+/// scored by one batched replay: [`SweepMode::Standard`] is a 1-point
+/// batch at the paper configuration (reported with `ecc: None`),
+/// [`SweepMode::EccSweep`] scores every strength in [`EccStrength::ALL`].
+/// Reports are bit-identical whichever layer served the capture.
+///
+/// # Errors
+///
+/// Returns [`ExperimentError`] when the configuration cannot be
+/// instantiated. Store defects are never errors: the source recaptures.
+pub fn run_job(
+    source: &CaptureSource,
     workload: SpecWorkload,
     accesses: u64,
     seed: u64,
     mode: SweepMode,
-    store: Option<&CaptureStore>,
     kernel: KernelMode,
-) -> Result<Vec<SweepRow>, ExperimentError> {
+) -> Result<Vec<(Option<EccStrength>, Report)>, ExperimentError> {
     let experiment = Experiment::paper_hierarchy()
         .workload(workload)
         .accesses(accesses)
         .seed(seed);
-    match mode {
-        SweepMode::Standard => {
-            let report = experiment.run_with(store)?;
-            Ok(vec![SweepRow::from_report(None, &report)])
-        }
-        SweepMode::EccSweep => {
-            // One capture (possibly served from the store), then the
-            // batched multi-point kernel scores all strengths in a single
-            // pass over the exposure stream.
-            Ok(
-                crate::sweep::replay_ecc_sweep_mode(&experiment, store, kernel)?
-                    .into_iter()
-                    .map(|(ecc, report)| SweepRow::from_report(Some(ecc), &report))
-                    .collect(),
-            )
-        }
-    }
+    let eccs = match mode {
+        SweepMode::Standard => vec![None],
+        SweepMode::EccSweep => EccStrength::ALL.map(Some).to_vec(),
+    };
+    let points = eccs
+        .iter()
+        .map(|ecc| {
+            let mut config = experiment.config().clone();
+            if let Some(ecc) = *ecc {
+                config.ecc = ecc;
+            }
+            Simulator::new(config)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let reports = source.replay(&experiment, &points, kernel)?;
+    Ok(eccs.into_iter().zip(reports).collect())
+}
+
+/// The checkpoint rows of one [`run_job`] result.
+pub fn job_rows(reports: &[(Option<EccStrength>, Report)]) -> Vec<SweepRow> {
+    reports
+        .iter()
+        .map(|(ecc, report)| SweepRow::from_report(*ecc, report))
+        .collect()
 }
 
 /// Runs the full 21-workload campaign under supervision, streaming
@@ -306,19 +329,19 @@ pub fn run_sweep_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Ca
     // this thread: checkpoint them and honour the simulated kill.
     let interrupt_after = config.supervisor.fault_plan.and_then(|p| p.interrupt_after);
     let (accesses, seed, mode) = (config.accesses, config.seed, config.mode);
-    let kernel = if config.fast_math {
+    // Fast math only ever applied to the ECC sweep's replays; a standard
+    // sweep scores exactly either way.
+    let kernel = if config.fast_math && mode == SweepMode::EccSweep {
         KernelMode::FastMath
     } else {
         KernelMode::Exact
     };
-    // Each workload addresses its own store entry (the fingerprint covers
-    // the workload), so concurrent workers never contend on one file.
-    let store = config.capture_store.clone();
+    let source = CaptureSource::new(None, config.capture_store.clone());
     let pending_for_pool = pending.clone();
     let mut done_this_run = 0usize;
     let mut interrupted = false;
-    // Pool names match the unsupervised sweep paths so existing telemetry
-    // expectations (worker gauges, phase spans) carry over.
+    // Pool names are part of the telemetry contract (worker gauges,
+    // `{pool}.job` span paths).
     let pool_name = match config.mode {
         SweepMode::Standard => "run_parallel",
         SweepMode::EccSweep => "ecc_sweep",
@@ -328,7 +351,9 @@ pub fn run_sweep_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Ca
         config.parallelism.max(1),
         pool_name,
         &config.supervisor,
-        move |w| run_job(w, accesses, seed, mode, store.as_ref(), kernel),
+        move |w| {
+            run_job(&source, w, accesses, seed, mode, kernel).map(|reports| job_rows(&reports))
+        },
         |i, outcome| {
             if let Ok(Ok(rows)) = &outcome.result {
                 if let Some(writer) = writer.as_mut() {
@@ -443,6 +468,44 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn run_job_matches_direct_runs_bit_for_bit() {
+        let source = CaptureSource::default();
+        for mode in [SweepMode::Standard, SweepMode::EccSweep] {
+            let reports = run_job(
+                &source,
+                SpecWorkload::Namd,
+                15_000,
+                7,
+                mode,
+                KernelMode::Exact,
+            )
+            .unwrap();
+            assert_eq!(
+                reports.len(),
+                if mode == SweepMode::Standard { 1 } else { 3 }
+            );
+            for (ecc, report) in reports {
+                let mut direct = Experiment::paper_hierarchy()
+                    .workload(SpecWorkload::Namd)
+                    .accesses(15_000)
+                    .seed(7);
+                if let Some(ecc) = ecc {
+                    direct = direct.ecc(ecc);
+                }
+                let direct = direct.run().unwrap();
+                for scheme in crate::scheme::ProtectionScheme::ALL {
+                    assert_eq!(
+                        report.expected_failures(scheme).to_bits(),
+                        direct.expected_failures(scheme).to_bits(),
+                        "{mode:?} at {ecc:?} must match a from-scratch run"
+                    );
+                }
+                assert_eq!(report.l2_stats(), direct.l2_stats());
+            }
+        }
     }
 
     #[test]

@@ -1,35 +1,156 @@
-//! A bounded, single-flight, in-memory LRU of exposure captures.
+//! Where every scoring job gets its exposure capture from.
 //!
-//! The on-disk [`reap_core::CaptureStore`] already amortizes trace
-//! passes across processes; the hot cache sits above it and amortizes
-//! the *decode* across concurrent jobs inside the daemon. Keys are the
-//! capture store's content fingerprint
-//! ([`reap_core::capture_store::CaptureKey::fingerprint`]), so the two
-//! layers agree about identity by construction.
+//! A [`CaptureSource`] answers one question — "score this experiment's
+//! capture at these analysis points" — through up to three layers,
+//! outermost first:
 //!
-//! Two disciplines keep it daemon-safe:
+//! 1. **hot**: an optional in-memory [`HotCaptureCache`], a bounded,
+//!    single-flight LRU shared by concurrent jobs (the `reap serve`
+//!    daemon's);
+//! 2. **store**: an optional on-disk [`CaptureStore`], shared across
+//!    processes (`--capture-dir`);
+//! 3. **trace**: a fresh capture pass, persisted to the store under a
+//!    [`CapturePolicy::ReadWrite`] policy.
 //!
-//! * **bounded**: at most `capacity` entries, least-recently-used
-//!   evicted first — a long-lived daemon must not grow without bound;
-//! * **single-flight**: when several jobs ask for the same missing key
-//!   at once, exactly one runs the producer; the rest block until the
-//!   value lands and then share it. A failed producer wakes the
-//!   waiters to retry rather than caching the failure.
+//! All three yield bit-identical reports. Keys are the capture store's
+//! content fingerprint ([`CaptureKey::fingerprint`]), so the hot and
+//! disk layers agree about identity by construction.
 //!
-//! The mechanics are value-agnostic ([`HotCache`]); the daemon uses the
-//! [`HotCaptureCache`] instantiation over [`reap_core::ExposureCapture`].
+//! **Recapture once.** A store entry is fully validated at load time,
+//! but it is replayed by streaming from disk, so it can still vanish or
+//! rot before (or during) the replay. On a
+//! [`SimulationError::CaptureStream`] defect the source evicts the hot
+//! entry, captures afresh from the trace and replays that in-memory
+//! capture — exactly once; it never fails the job for a store defect.
 //!
-//! Telemetry (when enabled): `serve.cache.{hit,miss,coalesced,evict}`
-//! counters and a `serve.cache.entries` gauge.
+//! Telemetry (when enabled): `capture_source.recapture` counts
+//! mid-replay recaptures, `capture_store.write_failed` counts store
+//! writes that failed (the capture is still used), the `capture_store`
+//! span covers each store-backed load-or-capture, and the hot layer
+//! keeps the daemon's `serve.cache.{hit,miss,coalesced,evict}` counters
+//! and `serve.cache.entries` gauge.
+//!
+//! # Examples
+//!
+//! ```
+//! use reap_core::capture_store::{CapturePolicy, CaptureStore};
+//! use reap_core::{CaptureSource, Experiment, KernelMode, Simulator};
+//! use reap_trace::SpecWorkload;
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let dir = std::env::temp_dir().join(format!("rsrc-doc-{}", std::process::id()));
+//! let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
+//! let source = CaptureSource::new(None, Some(store));
+//! let experiment = Experiment::paper_hierarchy()
+//!     .workload(SpecWorkload::Hmmer)
+//!     .accesses(20_000);
+//! let points = [Simulator::new(experiment.config().clone())?];
+//! let cold = source.replay(&experiment, &points, KernelMode::Exact)?; // trace pass + store write
+//! let warm = source.replay(&experiment, &points, KernelMode::Exact)?; // served from disk
+//! assert_eq!(cold[0].l2_stats(), warm[0].l2_stats());
+//! # std::fs::remove_dir_all(dir).ok();
+//! # Ok(())
+//! # }
+//! ```
 
-use reap_core::ExposureCapture;
+use crate::capture::ExposureCapture;
+use crate::capture_store::{bump, CaptureKey, CapturePolicy, CaptureStore};
+use crate::experiment::{Experiment, ExperimentError};
+use crate::report::Report;
+use crate::simulator::{SimulationError, Simulator};
+use reap_reliability::KernelMode;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Bump a `serve.*` counter when telemetry is enabled.
-pub(crate) fn bump(name: &str) {
-    if reap_obs::enabled() {
-        reap_obs::global().counter(name).add(1);
+/// The capture layers of one job runner. See the module docs.
+///
+/// Cloning is cheap and shares the hot layer.
+#[derive(Clone, Default)]
+pub struct CaptureSource {
+    hot: Option<Arc<HotCaptureCache>>,
+    store: Option<CaptureStore>,
+}
+
+impl CaptureSource {
+    /// A source over an optional hot layer and an optional store.
+    /// `CaptureSource::default()` captures from the trace every time.
+    pub fn new(hot: Option<Arc<HotCaptureCache>>, store: Option<CaptureStore>) -> Self {
+        Self { hot, store }
+    }
+
+    /// Scores `experiment`'s capture at every analysis point in `points`
+    /// with one batched replay ([`Simulator::replay_batch_mode`]),
+    /// returning one report per point in input order.
+    ///
+    /// The capture comes from the first layer that has it (hot, store,
+    /// trace); a mid-replay stream defect recaptures from the trace once
+    /// (see the module docs).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExperimentError`] when the experiment's configuration
+    /// cannot be instantiated or a point's behavioural configuration
+    /// differs from the experiment's. Store defects are never errors.
+    pub fn replay(
+        &self,
+        experiment: &Experiment,
+        points: &[Simulator],
+        kernel: KernelMode,
+    ) -> Result<Vec<Report>, ExperimentError> {
+        let key = CaptureKey::new(
+            experiment.configured_workload(),
+            experiment.configured_seed(),
+            experiment.config(),
+        );
+        let store_or_trace = || self.store_or_trace(&key, experiment);
+        let capture = match &self.hot {
+            Some(hot) => hot.get_or_capture(key.fingerprint(), store_or_trace)?,
+            None => Arc::new(store_or_trace()?),
+        };
+        match Simulator::replay_batch_mode(points, &capture, kernel) {
+            Err(SimulationError::CaptureStream(defect)) => {
+                bump("capture_source.recapture");
+                eprintln!("warning: capture stream failed mid-replay ({defect}); recapturing");
+                if let Some(hot) = &self.hot {
+                    hot.evict(key.fingerprint());
+                }
+                Ok(Simulator::replay_batch_mode(
+                    points,
+                    &experiment.capture()?,
+                    kernel,
+                )?)
+            }
+            other => Ok(other?),
+        }
+    }
+
+    /// The store and trace layers: serve `key` from disk when possible,
+    /// otherwise capture `experiment` from its trace (and persist the
+    /// result under a `ReadWrite` policy). A hit deliberately emits no
+    /// `sim.capture.*` or `cache.*` metrics, which count actual trace
+    /// passes.
+    fn store_or_trace(
+        &self,
+        key: &CaptureKey,
+        experiment: &Experiment,
+    ) -> Result<ExposureCapture, ExperimentError> {
+        let Some(store) = &self.store else {
+            return experiment.capture();
+        };
+        let mut span = reap_obs::span("capture_store");
+        if let Some(capture) = store.load(key) {
+            span.add_events(capture.event_count());
+            return Ok(capture);
+        }
+        let capture = experiment.capture()?;
+        span.add_events(capture.event_count());
+        if store.policy() == CapturePolicy::ReadWrite {
+            if let Err(e) = store.store(key, &capture) {
+                bump("capture_store.write_failed");
+                eprintln!("warning: capture store write failed: {e}");
+            }
+        }
+        Ok(capture)
     }
 }
 
@@ -46,15 +167,27 @@ struct Inner<V> {
     tick: u64,
 }
 
-/// A bounded single-flight LRU keyed by `u64` fingerprints. See the
-/// module docs.
+/// A bounded, single-flight, in-memory LRU keyed by `u64` fingerprints:
+/// the hot layer of a [`CaptureSource`].
+///
+/// Two disciplines keep it daemon-safe:
+///
+/// * **bounded**: at most `capacity` entries, least-recently-used
+///   evicted first — a long-lived daemon must not grow without bound;
+/// * **single-flight**: when several jobs ask for the same missing key
+///   at once, exactly one runs the producer; the rest block until the
+///   value lands and then share it. A failed producer wakes the
+///   waiters to retry rather than caching the failure.
+///
+/// The mechanics are value-agnostic; sources use the
+/// [`HotCaptureCache`] instantiation.
 pub struct HotCache<V> {
     inner: Mutex<Inner<V>>,
     cond: Condvar,
     capacity: usize,
 }
 
-/// The daemon's instantiation: capture-store fingerprints to shared
+/// The hot layer's instantiation: capture-store fingerprints to shared
 /// exposure captures.
 pub type HotCaptureCache = HotCache<ExposureCapture>;
 

@@ -68,10 +68,14 @@
 //! checksum — falls back to recapturing from the trace: a corrupt store
 //! costs time, never correctness.
 //!
+//! Jobs reach the store through a [`crate::CaptureSource`], the one
+//! path that loads, captures on a miss, persists, and recaptures when a
+//! streamed entry rots mid-replay.
+//!
 //! # Examples
 //!
 //! ```
-//! use reap_core::capture_store::{CapturePolicy, CaptureStore};
+//! use reap_core::capture_store::{CaptureKey, CapturePolicy, CaptureStore};
 //! use reap_core::Experiment;
 //! use reap_trace::SpecWorkload;
 //!
@@ -81,8 +85,10 @@
 //! let experiment = Experiment::paper_hierarchy()
 //!     .workload(SpecWorkload::Hmmer)
 //!     .accesses(20_000);
-//! let cold = experiment.capture_with(Some(&store))?; // trace pass + store write
-//! let warm = experiment.capture_with(Some(&store))?; // served from disk
+//! let key = CaptureKey::new(SpecWorkload::Hmmer, 1, experiment.config());
+//! let cold = experiment.capture()?; // trace pass
+//! store.store(&key, &cold)?;
+//! let warm = store.load(&key).expect("served from disk");
 //! assert_eq!(cold.events(), warm.events());
 //! # std::fs::remove_dir_all(dir).ok();
 //! # Ok(())
@@ -93,7 +99,7 @@ use crate::capture::{
     ExposureCapture, ExposureRecord, ExposureStream, HierarchySnapshot, StreamDefect, StreamOpener,
 };
 use crate::checkpoint::fnv;
-use crate::simulator::{SimulationConfig, SimulationError, Simulator};
+use crate::simulator::SimulationConfig;
 use reap_cache::{AccessMode, CacheConfig, CacheStats, HierarchyConfig, LineKey, Replacement};
 use reap_reliability::ExposureKind;
 use reap_trace::SpecWorkload;
@@ -102,6 +108,7 @@ use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Schema identifier of the original fixed-width capture format. Also
@@ -1519,10 +1526,14 @@ impl CaptureStore {
         let io_err = |source| CaptureStoreError::Io { offset: 0, source };
         std::fs::create_dir_all(&self.dir).map_err(io_err)?;
         let path = self.entry_path(key);
+        // Unique per store() call, not just per process: threads storing
+        // the same key at once must not rename each other's temp files.
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let tmp = self.dir.join(format!(
-            "{:016x}.rcap.tmp.{}",
+            "{:016x}.rcap.tmp.{}.{}",
             key.fingerprint(),
-            std::process::id()
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let result = (|| {
             let file = File::create(&tmp).map_err(io_err)?;
@@ -1548,47 +1559,11 @@ impl CaptureStore {
         emit_entry_io("capture_store.bytes_written", bytes, capture.event_count());
         Ok(path)
     }
-
-    /// The store-aware capture entry point: serve `sim`'s capture of
-    /// `workload` at `seed` from disk when possible, otherwise run the
-    /// trace pass (and persist it under a `ReadWrite` policy).
-    ///
-    /// Bit-identical to [`Simulator::capture`] in every case — the format
-    /// round-trips captures exactly, and any read defect falls back to
-    /// the trace pass. The whole attempt runs inside a `capture_store`
-    /// span; a hit deliberately does *not* emit the `sim.capture.*` or
-    /// `cache.*` counters, which count actual trace passes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimulationError`] from a recapture; store write
-    /// failures are reported on stderr, never fatal.
-    pub fn load_or_capture(
-        &self,
-        sim: &Simulator,
-        workload: SpecWorkload,
-        seed: u64,
-    ) -> Result<ExposureCapture, SimulationError> {
-        let key = CaptureKey::new(workload, seed, sim.config());
-        let mut span = reap_obs::span("capture_store");
-        if let Some(capture) = self.load(&key) {
-            span.add_events(capture.event_count());
-            return Ok(capture);
-        }
-        let capture = sim.capture(workload.stream(seed))?;
-        span.add_events(capture.event_count());
-        if self.policy == CapturePolicy::ReadWrite {
-            if let Err(e) = self.store(&key, &capture) {
-                eprintln!("warning: capture store write failed: {e}");
-            }
-        }
-        Ok(capture)
-    }
 }
 
 /// Increments a global counter when telemetry is enabled (the same
 /// gating the simulator spans use).
-fn bump(name: &str) {
+pub(crate) fn bump(name: &str) {
     if reap_obs::enabled() {
         reap_obs::global().counter(name).add(1);
     }

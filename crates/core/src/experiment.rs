@@ -1,7 +1,6 @@
 //! High-level experiment builder — the one-call entry point.
 
 use crate::capture::ExposureCapture;
-use crate::capture_store::CaptureStore;
 use crate::report::Report;
 use crate::simulator::{EccStrength, SimulationConfig, SimulationError, Simulator};
 use reap_cache::{HierarchyConfig, Replacement};
@@ -107,6 +106,11 @@ impl Experiment {
         self.workload
     }
 
+    /// The configured trace seed.
+    pub fn configured_seed(&self) -> u64 {
+        self.seed
+    }
+
     /// Immutable view of the underlying simulation configuration.
     pub fn config(&self) -> &SimulationConfig {
         &self.config
@@ -124,35 +128,6 @@ impl Experiment {
         Ok(report)
     }
 
-    /// Runs the experiment, sourcing the exposure capture from `store`
-    /// when one is given — bit-identical to [`run`](Self::run) whether
-    /// the capture came from disk or a fresh trace pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError`] when the configuration cannot be
-    /// instantiated (bad geometry, unsupported node, zero budget). Store
-    /// defects are never errors: they fall back to recapture.
-    pub fn run_with(self, store: Option<&CaptureStore>) -> Result<Report, ExperimentError> {
-        let Some(store) = store else {
-            return self.run();
-        };
-        let sim = Simulator::new(self.config)?;
-        let capture = store.load_or_capture(&sim, self.workload, self.seed)?;
-        match sim.replay(&capture) {
-            // A store-backed capture is validated at load time, but the
-            // entry can still vanish or rot between validation and the
-            // streamed replay — treat that like any other store defect
-            // and recapture rather than fail the run.
-            Err(SimulationError::CaptureStream(defect)) => {
-                eprintln!("warning: streamed capture failed mid-replay ({defect}); recapturing");
-                let fresh = sim.capture(self.workload.stream(self.seed))?;
-                Ok(sim.replay(&fresh)?)
-            }
-            other => Ok(other?),
-        }
-    }
-
     /// Phase 1: drives the configured workload through the hierarchy once
     /// and records the analysis-independent exposure stream.
     ///
@@ -166,27 +141,8 @@ impl Experiment {
     /// Returns [`ExperimentError`] when the configuration cannot be
     /// instantiated (bad geometry, unsupported node, zero budget).
     pub fn capture(&self) -> Result<ExposureCapture, ExperimentError> {
-        self.capture_with(None)
-    }
-
-    /// Phase 1 with an optional [`CaptureStore`]: serve the capture from
-    /// disk when `store` has a matching entry, otherwise drive the trace
-    /// (persisting the result under a read-write policy).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError`] when the configuration cannot be
-    /// instantiated (bad geometry, unsupported node, zero budget). Store
-    /// defects are never errors: they fall back to recapture.
-    pub fn capture_with(
-        &self,
-        store: Option<&CaptureStore>,
-    ) -> Result<ExposureCapture, ExperimentError> {
-        let sim = Simulator::new(self.config.clone())?;
-        let capture = match store {
-            Some(store) => store.load_or_capture(&sim, self.workload, self.seed)?,
-            None => sim.capture(self.workload.stream(self.seed))?,
-        };
+        let capture =
+            Simulator::new(self.config.clone())?.capture(self.workload.stream(self.seed))?;
         Ok(capture)
     }
 

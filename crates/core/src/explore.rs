@@ -50,6 +50,7 @@
 //! `ways=8 ecc=sec read-current=1.0 scrub=0`. Values are sorted and
 //! deduplicated; listing order never matters.
 
+use crate::capture_source::CaptureSource;
 use crate::capture_store::CaptureStore;
 use crate::checkpoint::{self, CheckpointError, CheckpointMeta, CheckpointWriter};
 use crate::experiment::{Experiment, ExperimentError};
@@ -658,7 +659,7 @@ fn run_combo(
     accesses: u64,
     seed: u64,
     workloads: &[SpecWorkload],
-    store: Option<&CaptureStore>,
+    source: &CaptureSource,
 ) -> Result<Vec<ExploreRow>, ExploreError> {
     let hierarchy = HierarchyConfig::paper_with_l2_ways(job.ways)?;
     let template = SimulationConfig::default();
@@ -687,19 +688,7 @@ fn run_combo(
             .accesses(accesses)
             .seed(seed)
             .workload(workload);
-        let capture = experiment.capture_with(store)?;
-        let reports = match Simulator::replay_batch_mode(&sims, &capture, KernelMode::Exact) {
-            // Same defect handling as Experiment::run_with: a
-            // store-backed entry can rot between validation and the
-            // streamed replay — recapture rather than fail the job.
-            Err(SimulationError::CaptureStream(defect)) => {
-                eprintln!("warning: streamed capture failed mid-replay ({defect}); recapturing");
-                let sim = Simulator::new(experiment.config().clone())?;
-                let fresh = sim.capture(workload.stream(seed))?;
-                Simulator::replay_batch_mode(&sims, &fresh, KernelMode::Exact)?
-            }
-            other => other?,
-        };
+        let reports = source.replay(&experiment, &sims, KernelMode::Exact)?;
         duration += reports[0].duration_seconds();
         for (i, report) in reports.iter().enumerate() {
             fail[i] += report.expected_failures(ProtectionScheme::Reap);
@@ -890,9 +879,9 @@ pub fn explore(config: &ExploreConfig) -> Result<ExploreOutcome, ExploreError> {
         *resumed += jobs.len() - pending.len();
         let (accesses, seed) = (config.accesses, config.seed);
         let workloads = &config.workloads;
-        let store = config.capture_store.clone();
+        let source = CaptureSource::new(None, config.capture_store.clone());
         let results = pool_map(pending, config.parallelism.max(1), pool, |job| {
-            let rows = run_combo(&job, accesses, seed, workloads, store.as_ref())?;
+            let rows = run_combo(&job, accesses, seed, workloads, &source)?;
             if let Some(w) = writer.lock().expect("writer lock").as_mut() {
                 let encoded: Vec<String> = rows.iter().map(explore_row_to_json).collect();
                 // A journal write failure must not kill the run; the

@@ -19,6 +19,9 @@
 //!   an analysis-independent exposure stream ([`ExposureCapture`]) that
 //!   replays at any ECC/MTJ analysis point in O(events), bit-identical to
 //!   a single-pass run;
+//! * [`capture_source`] — the one path every job takes to a capture
+//!   ([`CaptureSource`]: hot cache, on-disk [`CaptureStore`], trace) and
+//!   to its batched replay, recapturing once when a stored stream rots;
 //! * [`simulator`] / [`experiment`] — end-to-end runs producing
 //!   [`report::Report`]s with MTTF, energy and performance comparisons.
 //!
@@ -45,6 +48,7 @@
 pub mod analysis;
 pub mod campaign;
 pub mod capture;
+pub mod capture_source;
 pub mod capture_store;
 pub mod checkpoint;
 pub mod energy;
@@ -58,11 +62,14 @@ pub mod simulator;
 pub mod supervise;
 pub mod sweep;
 
-pub use campaign::{CampaignConfig, CampaignError, CampaignOutcome, SweepMode, WorkloadOutcome};
+pub use campaign::{
+    run_job, CampaignConfig, CampaignError, CampaignOutcome, SweepMode, WorkloadOutcome,
+};
 pub use capture::{
     CaptureObserver, ExposureCapture, ExposureEvents, ExposureRecord, ExposureStream,
     HierarchySnapshot, StreamDefect, StreamOpener,
 };
+pub use capture_source::{CaptureSource, HotCache, HotCaptureCache};
 pub use capture_store::{
     CaptureFormat, CaptureKey, CapturePolicy, CaptureStore, CaptureStoreError,
 };
@@ -74,6 +81,7 @@ pub use explore::{
 };
 pub use observer::ReliabilityObserver;
 pub use readpath::ReadPathModel;
+pub use reap_reliability::KernelMode;
 pub use report::Report;
 pub use scheme::ProtectionScheme;
 pub use simulator::{EccStrength, SimulationConfig, Simulator};

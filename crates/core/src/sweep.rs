@@ -1,15 +1,10 @@
-//! Parallel execution of experiment batches.
+//! The bounded worker pool behind every batch of independent jobs.
 //!
 //! Each simulation is single-threaded and deterministic; campaigns (a
-//! Fig. 5 sweep is 21 independent runs) parallelize perfectly across
-//! experiments. [`run_parallel`] fans a batch out over a bounded pool of
-//! OS threads and returns results in input order.
+//! Fig. 5 sweep is 21 independent jobs) parallelize perfectly across
+//! jobs. [`pool_map`] fans a batch out over a bounded pool of OS threads
+//! and returns results in input order.
 
-use crate::capture_store::CaptureStore;
-use crate::experiment::{Experiment, ExperimentError};
-use crate::report::Report;
-use crate::simulator::{EccStrength, SimulationError, Simulator};
-use reap_reliability::KernelMode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Instant;
@@ -17,8 +12,9 @@ use std::time::Instant;
 /// Runs `f` over `jobs` on up to `parallelism` threads, returning results
 /// in input order.
 ///
-/// This is the shared pool behind [`run_parallel`] and
-/// [`replay_ecc_sweep_all`]. When telemetry is enabled
+/// `explore` and the figure regenerators fan their jobs out on it; the
+/// supervised pool ([`crate::supervise`]) publishes the same telemetry.
+/// When telemetry is enabled
 /// ([`reap_obs::set_enabled`]), the batch is wrapped in a `pool_name` span
 /// whose event count is the job count, and each worker publishes its
 /// utilization as `{pool_name}.worker.{w}.busy_s` / `.idle_s` /
@@ -125,295 +121,14 @@ where
         .collect()
 }
 
-/// Runs `experiments` on up to `parallelism` threads, returning results in
-/// the same order as the input.
-///
-/// Determinism is unaffected: each experiment's result depends only on its
-/// own configuration and seed, never on scheduling.
-///
-/// # Panics
-///
-/// Panics if `parallelism == 0` or a worker thread panics (a bug in the
-/// simulation stack, not a data-dependent condition).
-///
-/// # Examples
-///
-/// ```
-/// use reap_core::sweep::run_parallel;
-/// use reap_core::{Experiment, ProtectionScheme};
-/// use reap_trace::SpecWorkload;
-///
-/// let batch: Vec<Experiment> = [SpecWorkload::Hmmer, SpecWorkload::Mcf]
-///     .into_iter()
-///     .map(|w| Experiment::paper_hierarchy().workload(w).budgets(1_000, 20_000))
-///     .collect();
-/// let reports = run_parallel(batch, 2);
-/// assert_eq!(reports.len(), 2);
-/// for r in reports {
-///     assert!(r.expect("valid config").mttf_improvement(ProtectionScheme::Reap) >= 1.0);
-/// }
-/// ```
-pub fn run_parallel(
-    experiments: Vec<Experiment>,
-    parallelism: usize,
-) -> Vec<Result<Report, ExperimentError>> {
-    pool_map(experiments, parallelism, "run_parallel", |e| e.run())
-}
-
-/// One capture, every ECC strength: runs the trace pass of `experiment`
-/// once and scores the captured exposure stream at each strength in
-/// [`EccStrength::ALL`] through the batched multi-point kernel
-/// ([`Simulator::replay_batch`]), returning reports in that order.
-///
-/// Bit-identical to running each point from scratch; the trace is driven
-/// once and the exposure stream is walked once for all strengths.
-///
-/// # Errors
-///
-/// Returns [`ExperimentError`] when the configuration cannot be
-/// instantiated.
-///
-/// # Examples
-///
-/// ```
-/// use reap_core::sweep::replay_ecc_sweep;
-/// use reap_core::{Experiment, ProtectionScheme};
-/// use reap_trace::SpecWorkload;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let experiment = Experiment::paper_hierarchy()
-///     .workload(SpecWorkload::Hmmer)
-///     .accesses(20_000);
-/// let reports = replay_ecc_sweep(&experiment)?;
-/// assert_eq!(reports.len(), 3);
-/// # Ok(())
-/// # }
-/// ```
-pub fn replay_ecc_sweep(
-    experiment: &Experiment,
-) -> Result<Vec<(EccStrength, Report)>, ExperimentError> {
-    replay_ecc_sweep_with(experiment, None)
-}
-
-/// [`replay_ecc_sweep`] with an optional [`CaptureStore`]: a store hit
-/// skips the trace pass entirely, and the replay stays bit-identical
-/// (the format round-trips captures exactly).
-///
-/// # Errors
-///
-/// Returns [`ExperimentError`] when the configuration cannot be
-/// instantiated. Store defects are never errors: they fall back to
-/// recapture.
-pub fn replay_ecc_sweep_with(
-    experiment: &Experiment,
-    store: Option<&CaptureStore>,
-) -> Result<Vec<(EccStrength, Report)>, ExperimentError> {
-    replay_ecc_sweep_mode(experiment, store, KernelMode::Exact)
-}
-
-/// [`replay_ecc_sweep_with`] with an explicit replay [`KernelMode`].
-/// `Exact` (what every other entry point uses) keeps the bit-identity
-/// contract; `FastMath` permits the batched kernel's documented
-/// small-argument `exp_m1` shortcut, keeping every scheme sum within
-/// `5e-9` relative of the exact result.
-///
-/// # Errors
-///
-/// Returns [`ExperimentError`] when the configuration cannot be
-/// instantiated. Store defects are never errors: they fall back to
-/// recapture.
-pub fn replay_ecc_sweep_mode(
-    experiment: &Experiment,
-    store: Option<&CaptureStore>,
-    kernel: KernelMode,
-) -> Result<Vec<(EccStrength, Report)>, ExperimentError> {
-    let capture = experiment.capture_with(store)?;
-    let points = EccStrength::ALL
-        .into_iter()
-        .map(|ecc| {
-            let mut config = experiment.config().clone();
-            config.ecc = ecc;
-            Simulator::new(config)
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let reports = match Simulator::replay_batch_mode(&points, &capture, kernel) {
-        // A store-backed capture streams from disk; if the entry rots
-        // between load-time validation and the replay pass, recapture
-        // from the trace instead of failing the sweep.
-        Err(SimulationError::CaptureStream(defect)) => {
-            eprintln!("warning: streamed capture failed mid-sweep ({defect}); recapturing");
-            let fresh = experiment.capture_with(None)?;
-            Simulator::replay_batch_mode(&points, &fresh, kernel)?
-        }
-        other => other?,
-    };
-    Ok(EccStrength::ALL.into_iter().zip(reports).collect())
-}
-
-/// One workload's ECC sweep outcome: a report per strength, or the
-/// configuration error that stopped the sweep.
-pub type EccSweepResult = Result<Vec<(EccStrength, Report)>, ExperimentError>;
-
-/// The full ECC sweep: all 21 workload profiles, each captured once and
-/// replayed at every strength in [`EccStrength::ALL`], fanned out over
-/// `parallelism` workers (pool name `ecc_sweep` in the telemetry).
-///
-/// # Examples
-///
-/// ```no_run
-/// use reap_core::sweep::replay_ecc_sweep_all;
-///
-/// let reports = replay_ecc_sweep_all(1_000_000, 2019, 8);
-/// assert_eq!(reports.len(), 21);
-/// for (_, per_workload) in reports {
-///     assert_eq!(per_workload.expect("valid config").len(), 3);
-/// }
-/// ```
-pub fn replay_ecc_sweep_all(
-    accesses: u64,
-    seed: u64,
-    parallelism: usize,
-) -> Vec<(reap_trace::SpecWorkload, EccSweepResult)> {
-    let workloads = reap_trace::SpecWorkload::ALL;
-    let batch: Vec<Experiment> = workloads
-        .into_iter()
-        .map(|w| {
-            Experiment::paper_hierarchy()
-                .workload(w)
-                .accesses(accesses)
-                .seed(seed)
-        })
-        .collect();
-    workloads
-        .into_iter()
-        .zip(pool_map(batch, parallelism, "ecc_sweep", |e| {
-            replay_ecc_sweep(&e)
-        }))
-        .collect()
-}
-
-/// Convenience: the Fig. 5/6 sweep over all 21 workload profiles.
-///
-/// # Examples
-///
-/// ```no_run
-/// use reap_core::sweep::sweep_workloads;
-///
-/// let reports = sweep_workloads(1_000_000, 2019, 8);
-/// assert_eq!(reports.len(), 21);
-/// ```
-pub fn sweep_workloads(
-    accesses: u64,
-    seed: u64,
-    parallelism: usize,
-) -> Vec<(reap_trace::SpecWorkload, Result<Report, ExperimentError>)> {
-    let workloads = reap_trace::SpecWorkload::ALL;
-    let batch = workloads
-        .into_iter()
-        .map(|w| {
-            Experiment::paper_hierarchy()
-                .workload(w)
-                .accesses(accesses)
-                .seed(seed)
-        })
-        .collect();
-    workloads
-        .into_iter()
-        .zip(run_parallel(batch, parallelism))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::ProtectionScheme;
-    use reap_trace::SpecWorkload;
-
-    #[test]
-    fn parallel_matches_serial_bit_for_bit() {
-        let make = |w: SpecWorkload| {
-            Experiment::paper_hierarchy()
-                .workload(w)
-                .budgets(1_000, 15_000)
-                .seed(4)
-        };
-        let serial: Vec<f64> = [SpecWorkload::Gcc, SpecWorkload::Lbm, SpecWorkload::Namd]
-            .into_iter()
-            .map(|w| {
-                make(w)
-                    .run()
-                    .unwrap()
-                    .expected_failures(ProtectionScheme::Conventional)
-            })
-            .collect();
-        let parallel = run_parallel(
-            [SpecWorkload::Gcc, SpecWorkload::Lbm, SpecWorkload::Namd]
-                .into_iter()
-                .map(make)
-                .collect(),
-            3,
-        );
-        for (s, p) in serial.iter().zip(parallel) {
-            let p = p.unwrap().expected_failures(ProtectionScheme::Conventional);
-            assert_eq!(
-                s.to_bits(),
-                p.to_bits(),
-                "scheduling must not affect results"
-            );
-        }
-    }
-
-    #[test]
-    fn results_keep_input_order() {
-        let batch: Vec<Experiment> = [SpecWorkload::Mcf, SpecWorkload::Namd]
-            .into_iter()
-            .map(|w| {
-                Experiment::paper_hierarchy()
-                    .workload(w)
-                    .budgets(1_000, 20_000)
-                    .seed(1)
-            })
-            .collect();
-        let out = run_parallel(batch, 2);
-        let gain = |r: &Result<Report, ExperimentError>| {
-            r.as_ref().unwrap().mttf_improvement(ProtectionScheme::Reap)
-        };
-        // namd (second) accumulates far more than mcf (first).
-        assert!(gain(&out[1]) > gain(&out[0]));
-    }
-
-    #[test]
-    fn errors_are_propagated_per_job() {
-        let ok = Experiment::paper_hierarchy().budgets(100, 5_000);
-        let bad = Experiment::paper_hierarchy().budgets(0, 0);
-        let out = run_parallel(vec![ok, bad], 2);
-        assert!(out[0].is_ok());
-        assert!(out[1].is_err());
-    }
-
-    #[test]
-    fn ecc_sweep_matches_direct_runs_bit_for_bit() {
-        let experiment = Experiment::paper_hierarchy()
-            .workload(SpecWorkload::Namd)
-            .budgets(1_000, 15_000)
-            .seed(7);
-        let swept = replay_ecc_sweep(&experiment).unwrap();
-        assert_eq!(swept.len(), EccStrength::ALL.len());
-        for (ecc, report) in swept {
-            let direct = experiment.clone().ecc(ecc).run().unwrap();
-            for scheme in ProtectionScheme::ALL {
-                assert_eq!(
-                    report.expected_failures(scheme).to_bits(),
-                    direct.expected_failures(scheme).to_bits(),
-                    "replayed {ecc} must match a from-scratch run"
-                );
-            }
-        }
-    }
 
     #[test]
     fn empty_batch_is_fine() {
-        assert!(run_parallel(Vec::new(), 4).is_empty());
+        let out: Vec<u8> = pool_map(Vec::<u8>::new(), 4, "test_pool", |j| j);
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -427,6 +142,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_parallelism_rejected() {
-        let _ = run_parallel(Vec::new(), 0);
+        let _ = pool_map(vec![1], 0, "test_pool", |j: i32| j);
     }
 }

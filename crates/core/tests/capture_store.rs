@@ -11,14 +11,15 @@ use reap_cache::{CacheStats, HierarchyConfig, LineKey, Replacement};
 use reap_core::capture_store::{
     read_capture_v2, write_capture_v2, CaptureFormat, CaptureKey, CapturePolicy, CaptureStore,
 };
-use reap_core::sweep::replay_ecc_sweep_with;
 use reap_core::{
-    Experiment, ExposureCapture, ExposureRecord, HierarchySnapshot, ProtectionScheme, Simulator,
+    CaptureSource, EccStrength, Experiment, ExposureCapture, ExposureRecord, HierarchySnapshot,
+    HotCaptureCache, KernelMode, ProtectionScheme, Report, Simulator,
 };
 use reap_reliability::ExposureKind;
 use reap_trace::SpecWorkload;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 
 /// An arbitrary on-disk format, so store properties hold for both.
 fn any_format() -> impl Strategy<Value = CaptureFormat> {
@@ -59,6 +60,22 @@ fn scratch(tag: &str) -> PathBuf {
 
 fn counter(name: &str) -> u64 {
     reap_obs::global().counter(name).get()
+}
+
+/// `experiment` replayed at every ECC strength through `source`.
+fn ecc_sweep(source: &CaptureSource, experiment: &Experiment) -> Vec<Report> {
+    let points: Vec<Simulator> = EccStrength::ALL
+        .into_iter()
+        .map(|ecc| Simulator::new(experiment.clone().ecc(ecc).config().clone()).unwrap())
+        .collect();
+    source
+        .replay(experiment, &points, KernelMode::Exact)
+        .expect("sweep")
+}
+
+/// A source over `store` alone (no hot layer).
+fn disk(store: &CaptureStore) -> CaptureSource {
+    CaptureSource::new(None, Some(store.clone()))
 }
 
 /// The full per-scheme failure signature of a report, as raw bits.
@@ -138,7 +155,7 @@ proptest! {
         let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite).with_format(format);
 
         // Reference sweep and a populated store entry.
-        let clean = replay_ecc_sweep_with(&experiment, Some(&store)).expect("cold sweep");
+        let clean = ecc_sweep(&disk(&store), &experiment);
         let key = CaptureKey::new(workload, seed, experiment.config());
         let path = store.entry_path(&key);
         let len = std::fs::metadata(&path).expect("entry exists").len();
@@ -168,10 +185,9 @@ proptest! {
 
         // And the store-backed sweep must silently recapture to the same
         // bits as the clean run.
-        let recovered = replay_ecc_sweep_with(&experiment, Some(&store)).expect("warm sweep");
+        let recovered = ecc_sweep(&disk(&store), &experiment);
         prop_assert_eq!(clean.len(), recovered.len());
-        for ((ecc_a, a), (ecc_b, b)) in clean.iter().zip(&recovered) {
-            prop_assert_eq!(ecc_a, ecc_b);
+        for (a, b) in clean.iter().zip(&recovered) {
             prop_assert_eq!(report_bits(a), report_bits(b));
         }
         std::fs::remove_dir_all(dir).ok();
@@ -228,28 +244,27 @@ fn warm_sweeps_agree_across_formats_and_with_fresh_capture() {
         .workload(SpecWorkload::Soplex)
         .budgets(500, 6_000)
         .seed(77);
-    let fresh = replay_ecc_sweep_with(&experiment, None).expect("fresh sweep");
+    let fresh = ecc_sweep(&CaptureSource::default(), &experiment);
 
     let mut warm = Vec::new();
     for format in [CaptureFormat::V1, CaptureFormat::V2] {
         let dir = scratch("crossfmt");
         let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite).with_format(format);
-        replay_ecc_sweep_with(&experiment, Some(&store)).expect("cold sweep");
-        warm.push(replay_ecc_sweep_with(&experiment, Some(&store)).expect("warm sweep"));
+        ecc_sweep(&disk(&store), &experiment);
+        warm.push(ecc_sweep(&disk(&store), &experiment));
         std::fs::remove_dir_all(dir).ok();
     }
 
     for sweep in &warm {
         assert_eq!(sweep.len(), fresh.len());
-        for ((ecc_a, a), (ecc_b, b)) in fresh.iter().zip(sweep) {
-            assert_eq!(ecc_a, ecc_b);
+        for (a, b) in fresh.iter().zip(sweep) {
             assert_eq!(report_bits(a), report_bits(b));
         }
     }
 }
 
 #[test]
-fn load_or_capture_hits_after_a_cold_miss_and_counts_both() {
+fn source_store_layer_hits_after_a_cold_miss_and_counts_both() {
     reap_obs::set_enabled(true);
     let dir = scratch("counters");
     let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
@@ -257,25 +272,22 @@ fn load_or_capture_hits_after_a_cold_miss_and_counts_both() {
         .workload(SpecWorkload::Libquantum)
         .budgets(500, 6_000)
         .seed(11);
-    let sim = Simulator::new(experiment.config().clone()).unwrap();
 
     let (miss0, hit0, write0) = (
         counter("capture_store.miss"),
         counter("capture_store.hit"),
         counter("capture_store.write"),
     );
-    let cold = store
-        .load_or_capture(&sim, SpecWorkload::Libquantum, 11)
-        .unwrap();
+    let cold = ecc_sweep(&disk(&store), &experiment);
     assert!(counter("capture_store.miss") > miss0, "cold run misses");
     assert!(counter("capture_store.write") > write0, "cold run persists");
 
-    let warm = store
-        .load_or_capture(&sim, SpecWorkload::Libquantum, 11)
-        .unwrap();
+    let warm = ecc_sweep(&disk(&store), &experiment);
     assert!(counter("capture_store.hit") > hit0, "warm run hits");
-    assert_eq!(warm.events(), cold.events());
-    assert_eq!(warm.snapshot(), cold.snapshot());
+    for (a, b) in cold.iter().zip(&warm) {
+        assert_eq!(report_bits(a), report_bits(b));
+        assert_eq!(a.l2_stats(), b.l2_stats());
+    }
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -290,8 +302,9 @@ fn read_policy_never_writes_but_serves_existing_entries() {
 
     // A read-only store never populates the directory…
     let reader = CaptureStore::new(&dir, CapturePolicy::Read);
-    let capture = experiment.capture_with(Some(&reader)).unwrap();
+    ecc_sweep(&disk(&reader), &experiment);
     assert!(reader.load(&key).is_none(), "nothing was persisted");
+    let capture = experiment.capture().unwrap();
 
     // …but serves entries someone else wrote.
     CaptureStore::new(&dir, CapturePolicy::ReadWrite)
@@ -300,4 +313,141 @@ fn read_policy_never_writes_but_serves_existing_entries() {
     let loaded = reader.load(&key).expect("entry now exists");
     assert_eq!(loaded.events(), capture.events());
     std::fs::remove_dir_all(dir).ok();
+}
+
+/// Threads storing one key at once each write their own temp file: every
+/// `store()` returns `Ok`, the entry loads, and no temp file is left.
+#[test]
+fn concurrent_stores_of_one_key_all_succeed() {
+    let dir = scratch("race");
+    let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
+    let experiment = Experiment::paper_hierarchy()
+        .workload(SpecWorkload::Hmmer)
+        .budgets(500, 4_000)
+        .seed(2);
+    let capture = experiment.capture().unwrap();
+    let key = CaptureKey::new(SpecWorkload::Hmmer, 2, experiment.config());
+    let start = Barrier::new(4);
+    for _ in 0..10 {
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        store.store(&key, &capture)
+                    })
+                })
+                .collect();
+            for writer in writers {
+                writer
+                    .join()
+                    .unwrap()
+                    .expect("every concurrent store succeeds");
+            }
+        });
+    }
+    let loaded = store.load(&key).expect("entry loads");
+    assert_eq!(loaded.events(), capture.events());
+    let temps = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.file_name().to_string_lossy().contains(".tmp"))
+        .count();
+    assert_eq!(temps, 0, "no temp file may be left behind");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A store entry that rots after load-time validation fails the streamed
+/// replay; the source recaptures exactly once, to the bits of a cold
+/// capture, and evicts the hot entry so the next call produces it again.
+#[test]
+fn mid_replay_rot_recaptures_once_through_the_source() {
+    reap_obs::set_enabled(true);
+    let experiment = Experiment::paper_hierarchy()
+        .workload(SpecWorkload::Namd)
+        .budgets(1_000, 20_000)
+        .seed(5);
+    let key = CaptureKey::new(SpecWorkload::Namd, 5, experiment.config());
+    let cold: Vec<_> = ecc_sweep(&CaptureSource::default(), &experiment)
+        .iter()
+        .map(report_bits)
+        .collect();
+    for truncate in [true, false] {
+        let dir = scratch("rot");
+        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
+        ecc_sweep(&disk(&store), &experiment);
+        let entry = store.load(&key).expect("populated");
+        assert!(entry.event_count() > 4096, "entry spans several frames");
+        // v2 layout: 353 header bytes, then the first frame's record
+        // count, payload length, payload and checksum.
+        let path = store.entry_path(&key);
+        let bytes = std::fs::read(&path).unwrap();
+        let payload_len = u32::from_le_bytes(bytes[357..361].try_into().unwrap()) as usize;
+        let first_frame_end = 353 + 8 + payload_len + 8;
+
+        // Load and validate the entry into the hot layer: it is now a
+        // streamed capture that re-opens the file at replay time.
+        let hot = Arc::new(HotCaptureCache::new(4));
+        let source = CaptureSource::new(Some(Arc::clone(&hot)), Some(store.clone()));
+        ecc_sweep(&source, &experiment);
+        assert_eq!(hot.len(), 1);
+
+        // Damage the entry after its first frame.
+        let len = bytes.len() as u64;
+        assert!(len - 16 > first_frame_end as u64);
+        if truncate {
+            reap_fault::truncate_file(&path, len - 16).unwrap();
+        } else {
+            reap_fault::flip_byte(&path, len - 16, 0x10).unwrap();
+        }
+
+        let (recaptures, evictions, misses) = (
+            counter("capture_source.recapture"),
+            counter("serve.cache.evict"),
+            counter("serve.cache.miss"),
+        );
+        let recovered: Vec<_> = ecc_sweep(&source, &experiment)
+            .iter()
+            .map(report_bits)
+            .collect();
+        assert_eq!(recovered, cold, "recapture must match a cold capture");
+        assert_eq!(counter("capture_source.recapture"), recaptures + 1);
+        assert_eq!(counter("serve.cache.evict"), evictions + 1);
+        assert!(hot.is_empty(), "the rotten entry was evicted");
+
+        let again: Vec<_> = ecc_sweep(&source, &experiment)
+            .iter()
+            .map(report_bits)
+            .collect();
+        assert_eq!(again, cold);
+        assert_eq!(counter("serve.cache.miss"), misses + 1, "produced again");
+        assert_eq!(counter("capture_source.recapture"), recaptures + 1);
+        assert_eq!(hot.len(), 1);
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+/// A store that cannot be written costs a counted warning, never the job.
+#[test]
+fn store_write_failure_is_counted_and_the_job_still_scores() {
+    reap_obs::set_enabled(true);
+    let blocker = scratch("blocked");
+    std::fs::write(&blocker, b"a file, not a directory").unwrap();
+    let store = CaptureStore::new(blocker.join("store"), CapturePolicy::ReadWrite);
+    let experiment = Experiment::paper_hierarchy()
+        .workload(SpecWorkload::Gcc)
+        .budgets(500, 4_000)
+        .seed(8);
+    let failed = counter("capture_store.write_failed");
+    let stored: Vec<_> = ecc_sweep(&disk(&store), &experiment)
+        .iter()
+        .map(report_bits)
+        .collect();
+    assert!(counter("capture_store.write_failed") > failed);
+    let cold: Vec<_> = ecc_sweep(&CaptureSource::default(), &experiment)
+        .iter()
+        .map(report_bits)
+        .collect();
+    assert_eq!(stored, cold);
+    std::fs::remove_file(blocker).ok();
 }

@@ -45,6 +45,11 @@ fn fmt_us(us: f64) -> String {
     }
 }
 
+/// Counters summarized on the report's capture-store line.
+fn is_capture_counter(name: &str) -> bool {
+    name.starts_with("capture_store.") || name.starts_with("capture_source.")
+}
+
 fn fmt_bytes(bytes: u64) -> String {
     let b = bytes as f64;
     if b >= (1 << 20) as f64 {
@@ -212,19 +217,17 @@ pub fn render_report(snapshot: &Snapshot, options: &ReportOptions) -> String {
             .find(|(n, _)| n == name)
             .map(|(_, v)| *v)
     };
-    if snapshot
-        .counters
-        .iter()
-        .any(|(n, _)| n.starts_with("capture_store."))
-    {
+    if snapshot.counters.iter().any(|(n, _)| is_capture_counter(n)) {
         let c = |suffix: &str| counter(&format!("capture_store.{suffix}")).unwrap_or(0);
         let _ = writeln!(
             out,
-            "capture store: hits {}   misses {}   writes {}   invalid {}",
+            "capture store: hits {}   misses {}   writes {}   invalid {}   write failed {}   recaptured {}",
             c("hit"),
             c("miss"),
             c("write"),
             c("invalid"),
+            c("write_failed"),
+            counter("capture_source.recapture").unwrap_or(0),
         );
         let mut line = format!(
             "               read {}   written {}",
@@ -283,7 +286,7 @@ pub fn render_report(snapshot: &Snapshot, options: &ReportOptions) -> String {
         .counters
         .iter()
         .filter(|(n, _)| {
-            !n.contains(".worker.") && !n.starts_with("capture_store.") && !n.starts_with("serve.")
+            !n.contains(".worker.") && !is_capture_counter(n) && !n.starts_with("serve.")
         })
         .collect();
     if !other_counters.is_empty() {
@@ -618,6 +621,8 @@ mod tests {
         r.gauge("ecc_sweep.worker.1.idle_s").set(0.0);
         r.gauge("ecc_sweep.worker.1.utilization").set(1.0);
         r.counter("capture_store.hit").add(21);
+        r.counter("capture_store.write_failed").add(2);
+        r.counter("capture_source.recapture").add(1);
         r.counter("capture_store.bytes_read").add(2 << 20);
         r.gauge("capture_store.compression_ratio").set(5.29);
 
@@ -627,6 +632,9 @@ mod tests {
         assert!(text.contains("ecc_sweep"), "{text}");
         assert!(text.contains("0.80-1.00"), "{text}");
         assert!(text.contains("hits 21"), "{text}");
+        assert!(text.contains("write failed 2   recaptured 1"), "{text}");
+        // Summarized counters stay out of the generic counter table.
+        assert!(!text.contains("capture_source.recapture"), "{text}");
         assert!(text.contains("compression 5.29x"), "{text}");
         assert!(text.contains("process: wall"), "{text}");
     }

@@ -1,6 +1,6 @@
 //! Batched multi-point replay: score every sweep point in one pass.
 //!
-//! An ECC sweep (`replay_ecc_sweep`, `reap sweep --ecc-sweep`) evaluates
+//! An ECC sweep (`reap sweep --ecc-sweep`, `reap explore`) evaluates
 //! the same captured exposure stream under several analysis points — one
 //! per `EccStrength` × MTJ operating point. Walking the stream once per
 //! point repeats all the per-record bookkeeping (and the stream itself

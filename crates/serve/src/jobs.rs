@@ -1,23 +1,17 @@
-//! Job identity and the job body shared by the daemon and its tests.
+//! Job identity: what the daemon runs and where it journals it.
 //!
 //! A job is one full sweep (21 workloads) at a `(mode, accesses, seed)`
-//! point — exactly the unit `reap sweep` runs offline. Its identity is
+//! point — exactly the unit `reap sweep` runs offline, one
+//! [`reap_core::run_job`] per workload. Its identity is
 //! the `reap-checkpoint/1` fingerprint of that configuration, which
 //! doubles as the journal filename: a resubmitted identical request
 //! finds its own journal by construction, and a different configuration
 //! cannot collide with it.
 
-use crate::cache::HotCaptureCache;
-use reap_core::capture_store::CaptureKey;
 use reap_core::checkpoint::CheckpointMeta;
-use reap_core::simulator::SimulationError;
-use reap_core::sweep::replay_ecc_sweep_with;
-use reap_core::{
-    CaptureStore, EccStrength, Experiment, ExperimentError, Simulator, SweepMode, SweepRow,
-};
+use reap_core::SweepMode;
 use reap_trace::SpecWorkload;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// One submitted job: a full sweep at one configuration point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,82 +55,6 @@ impl JobSpec {
     pub fn journal_path(&self, state_dir: &Path) -> PathBuf {
         state_dir.join(format!("job-{}.jsonl", self.id()))
     }
-}
-
-/// Computes one workload's rows for `spec` — the daemon's job body.
-///
-/// The capture is sourced through up to three layers, outermost first:
-/// the in-memory [`HotCaptureCache`] (keyed by the capture store's
-/// content fingerprint, single-flight), the on-disk `store`, and a cold
-/// trace capture. All three yield bit-identical rows; the property test
-/// in `tests/` pins that.
-///
-/// # Errors
-///
-/// Returns [`ExperimentError`] when the configuration cannot be
-/// instantiated. Capture-stream defects are never errors: they fall
-/// back to a fresh capture, like the offline sweep paths.
-pub fn compute_rows(
-    workload: SpecWorkload,
-    spec: &JobSpec,
-    cache: Option<&HotCaptureCache>,
-    store: Option<&CaptureStore>,
-) -> Result<Vec<SweepRow>, ExperimentError> {
-    let experiment = Experiment::paper_hierarchy()
-        .workload(workload)
-        .accesses(spec.accesses)
-        .seed(spec.seed);
-    let Some(cache) = cache else {
-        // No hot layer: defer to the exact offline code paths.
-        return match spec.mode {
-            SweepMode::Standard => {
-                let report = experiment.run_with(store)?;
-                Ok(vec![SweepRow::from_report(None, &report)])
-            }
-            SweepMode::EccSweep => Ok(replay_ecc_sweep_with(&experiment, store)?
-                .into_iter()
-                .map(|(ecc, report)| SweepRow::from_report(Some(ecc), &report))
-                .collect()),
-        };
-    };
-
-    let fingerprint = CaptureKey::new(workload, spec.seed, experiment.config()).fingerprint();
-    let capture = cache.get_or_capture(fingerprint, || experiment.capture_with(store))?;
-
-    let points = match spec.mode {
-        SweepMode::Standard => vec![Simulator::new(experiment.config().clone())?],
-        SweepMode::EccSweep => EccStrength::ALL
-            .into_iter()
-            .map(|ecc| {
-                let mut config = experiment.config().clone();
-                config.ecc = ecc;
-                Simulator::new(config)
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-    };
-    let reports = match Simulator::replay_batch(&points, &capture) {
-        // A cached streamed capture can rot on disk between caching and
-        // this replay; recapture instead of failing the job (and drop
-        // the bad entry so later jobs do not trip over it again).
-        Err(SimulationError::CaptureStream(defect)) => {
-            eprintln!("warning: hot capture failed mid-replay ({defect}); recapturing");
-            cache.evict(fingerprint);
-            let fresh = Arc::new(experiment.capture_with(None)?);
-            Simulator::replay_batch(&points, &fresh)?
-        }
-        other => other?,
-    };
-    Ok(match spec.mode {
-        SweepMode::Standard => reports
-            .into_iter()
-            .map(|report| SweepRow::from_report(None, &report))
-            .collect(),
-        SweepMode::EccSweep => EccStrength::ALL
-            .into_iter()
-            .zip(reports)
-            .map(|(ecc, report)| SweepRow::from_report(Some(ecc), &report))
-            .collect(),
-    })
 }
 
 #[cfg(test)]
@@ -184,23 +102,5 @@ mod tests {
             path,
             Path::new("/tmp/state").join(format!("job-{}.jsonl", s.id()))
         );
-    }
-
-    #[test]
-    fn hot_cached_rows_match_the_offline_path() {
-        let s = spec(SweepMode::EccSweep);
-        let workload = SpecWorkload::Hmmer;
-        let offline = compute_rows(workload, &s, None, None).unwrap();
-        let cache = HotCaptureCache::new(4);
-        let cold = compute_rows(workload, &s, Some(&cache), None).unwrap();
-        let hot = compute_rows(workload, &s, Some(&cache), None).unwrap();
-        for (a, b) in offline.iter().zip(&cold).chain(offline.iter().zip(&hot)) {
-            assert_eq!(a.ecc, b.ecc);
-            assert_eq!(a.mttf_gain.to_bits(), b.mttf_gain.to_bits());
-            assert_eq!(a.energy_overhead.to_bits(), b.energy_overhead.to_bits());
-            assert_eq!(a.l2_hit_rate.to_bits(), b.l2_hit_rate.to_bits());
-            assert_eq!(a.efail_conv.to_bits(), b.efail_conv.to_bits());
-            assert_eq!(a.max_n, b.max_n);
-        }
     }
 }

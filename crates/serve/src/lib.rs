@@ -17,10 +17,10 @@
 //!   admissions and drains in-flight jobs to per-job
 //!   `reap-checkpoint/1` journals; a restarted daemon serves the
 //!   journaled rows byte-identically and computes only the remainder;
-//! * **a bounded hot capture cache** ([`cache::HotCaptureCache`]) — an
-//!   LRU keyed by the capture store's content fingerprint, with
-//!   single-flight deduplication so concurrent jobs over the same
-//!   configuration trigger exactly one capture;
+//! * **a bounded hot capture cache** — the hot layer of the runner's
+//!   [`reap_core::CaptureSource`], an LRU keyed by the capture store's
+//!   content fingerprint, with single-flight deduplication so concurrent
+//!   jobs over the same configuration trigger exactly one capture;
 //! * **fault-injectable connection paths** — a [`reap_fault::FaultPlan`]
 //!   with `refuse=`/`drop=`/`stall-ms=` specs exercises refused
 //!   accepts, dropped streams and stalled reads in chaos tests.
@@ -33,15 +33,13 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod client;
 pub mod jobs;
 pub mod protocol;
 pub mod server;
 pub mod signal;
 
-pub use cache::HotCaptureCache;
 pub use client::{fetch_raw, request_one, submit, ClientConfig, SubmitError, SubmitOutcome};
-pub use jobs::{compute_rows, JobSpec};
+pub use jobs::JobSpec;
 pub use protocol::{Request, Response};
 pub use server::{serve, ServeConfig};

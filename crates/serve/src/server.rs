@@ -18,12 +18,15 @@
 //! restarted daemon serves journaled rows byte-identically and computes
 //! only the remainder.
 
-use crate::cache::{bump, HotCaptureCache};
-use crate::jobs::{compute_rows, JobSpec};
+use crate::jobs::JobSpec;
 use crate::protocol::{Request, Response};
 use crate::signal;
+use reap_core::campaign::{self, job_rows};
 use reap_core::checkpoint::{self, CheckpointWriter};
-use reap_core::{pool_map_supervised, CaptureStore, JobError, SupervisorConfig};
+use reap_core::{
+    pool_map_supervised, CaptureSource, CaptureStore, HotCaptureCache, JobError, KernelMode,
+    SupervisorConfig,
+};
 use reap_fault::ConnectionFault;
 use reap_trace::SpecWorkload;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -127,9 +130,25 @@ impl JobHandle {
     }
 }
 
+/// Bump a `serve.*` counter when telemetry is enabled.
+fn bump(name: &str) {
+    if reap_obs::enabled() {
+        reap_obs::global().counter(name).add(1);
+    }
+}
+
+/// The daemon's capture source: a `cache_entries`-bounded hot layer
+/// (0 disables caching but still counts misses) over the optional store.
+fn source_for(config: &ServeConfig) -> CaptureSource {
+    let hot = HotCaptureCache::new(config.cache_entries);
+    CaptureSource::new(Some(Arc::new(hot)), config.store.clone())
+}
+
 struct ServerState {
     config: ServeConfig,
-    cache: Arc<HotCaptureCache>,
+    /// The runners' shared capture layers: the hot cache over the
+    /// optional on-disk store.
+    source: CaptureSource,
     queue: Mutex<VecDeque<Arc<JobHandle>>>,
     queue_ready: Condvar,
     /// Queued *and* running jobs, by id — the cancel path and the
@@ -181,10 +200,9 @@ pub fn serve(config: ServeConfig) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     signal::install_shutdown_handler();
 
-    let cache = Arc::new(HotCaptureCache::new(config.cache_entries));
     let state = Arc::new(ServerState {
+        source: source_for(&config),
         config,
-        cache,
         queue: Mutex::new(VecDeque::new()),
         queue_ready: Condvar::new(),
         jobs: Mutex::new(HashMap::new()),
@@ -445,8 +463,7 @@ fn run_job(state: &Arc<ServerState>, handle: &Arc<JobHandle>) {
         supervisor.deadline = Some(Duration::from_millis(deadline_ms));
     }
 
-    let cache = Arc::clone(&state.cache);
-    let store = state.config.store.clone();
+    let source = state.source.clone();
     let keys: Vec<(u64, &'static str)> = pending.iter().map(|(i, w)| (*i, w.name())).collect();
 
     let mut ok = resumed;
@@ -458,7 +475,16 @@ fn run_job(state: &Arc<ServerState>, handle: &Arc<JobHandle>) {
         "serve.pool",
         &supervisor,
         move |(_, workload)| {
-            compute_rows(workload, &spec, Some(&cache), store.as_ref()).map_err(|e| e.to_string())
+            campaign::run_job(
+                &source,
+                workload,
+                spec.accesses,
+                spec.seed,
+                spec.mode,
+                KernelMode::Exact,
+            )
+            .map(|reports| job_rows(&reports))
+            .map_err(|e| e.to_string())
         },
         |slot, outcome| {
             let (index, key) = keys[slot];
@@ -789,7 +815,7 @@ mod tests {
 
     fn state_with(config: ServeConfig) -> ServerState {
         ServerState {
-            cache: Arc::new(HotCaptureCache::new(config.cache_entries)),
+            source: source_for(&config),
             config,
             queue: Mutex::new(VecDeque::new()),
             queue_ready: Condvar::new(),

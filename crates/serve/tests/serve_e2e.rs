@@ -3,13 +3,12 @@
 //! `reap-fault` delay injection (each workload sleeps a fixed injected
 //! delay), so "interrupt mid-job" tests do not race the simulator.
 
+use reap_core::campaign::{job_rows, run_job};
 use reap_core::checkpoint::row_to_json;
-use reap_core::{SupervisorConfig, SweepMode, SweepRow};
+use reap_core::{CaptureSource, KernelMode, SupervisorConfig, SweepMode, SweepRow};
 use reap_fault::FaultPlan;
 use reap_serve::protocol::{Request, Response};
-use reap_serve::{
-    compute_rows, request_one, serve, submit, ClientConfig, JobSpec, ServeConfig, SubmitOutcome,
-};
+use reap_serve::{request_one, serve, submit, ClientConfig, JobSpec, ServeConfig, SubmitOutcome};
 use reap_trace::SpecWorkload;
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
@@ -148,7 +147,17 @@ fn offline(spec: &JobSpec) -> Vec<(String, Vec<SweepRow>)> {
         .map(|w| {
             (
                 w.name().to_owned(),
-                compute_rows(*w, spec, None, None).expect("offline rows"),
+                job_rows(
+                    &run_job(
+                        &CaptureSource::default(),
+                        *w,
+                        spec.accesses,
+                        spec.seed,
+                        spec.mode,
+                        KernelMode::Exact,
+                    )
+                    .expect("offline rows"),
+                ),
             )
         })
         .collect()
