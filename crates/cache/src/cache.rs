@@ -14,11 +14,19 @@ struct Line {
     /// Reads (concealed) since the last ECC check or rewrite. A demand
     /// read reports `unchecked + 1` and resets this to zero.
     unchecked: u64,
-    /// Number of stored `1` bits in the current content (data + check
-    /// bits), sampled deterministically from the content version.
-    ones: u32,
     /// Bumped every rewrite, so resampled contents differ.
     version: u64,
+}
+
+impl Line {
+    /// The content key events carry for this line, resident in `set`.
+    fn key(&self, set: usize) -> LineKey {
+        LineKey {
+            tag: self.tag,
+            set: set as u64,
+            version: self.version,
+        }
+    }
 }
 
 /// Information about a line evicted by a fill.
@@ -50,10 +58,13 @@ pub struct AccessResult {
 /// concealed reads. Event hooks are delivered to an
 /// [`AccessObserver`].
 ///
-/// Line contents are not stored; instead each line carries a
-/// deterministic pseudo-random `ones` weight (`n` of the paper's
-/// equations), resampled whenever the line is rewritten. The expected
-/// weight is half the line width, matching random data.
+/// Line contents are not stored, and neither are their weights: each
+/// line carries a version bumped on every rewrite, and events name the
+/// content by its [`LineKey`]. An observer that scores derives the
+/// weight (`n` of the paper's equations) from the key with
+/// [`sample_ones`] at [`stored_line_bits`](Self::stored_line_bits) and
+/// [`ones_seed`](Self::ones_seed); its expected value is half the width,
+/// matching random data. The simulation itself hashes nothing.
 ///
 /// # Examples
 ///
@@ -83,7 +94,7 @@ pub struct Cache {
     stats: CacheStats,
     ones_seed: u64,
     /// Extra check bits per line (e.g. 64 for 8x (72,64) SEC-DED),
-    /// included in the sampled weight.
+    /// counted by `stored_line_bits`.
     check_bits: usize,
 }
 
@@ -110,8 +121,9 @@ impl Cache {
     }
 
     /// Declares that each stored line carries `check_bits` additional ECC
-    /// bits, included in the sampled content weight (disturbance strikes
-    /// check bits too).
+    /// bits. They widen [`stored_line_bits`](Self::stored_line_bits), the
+    /// width a scoring observer samples weights at (disturbance strikes
+    /// check bits too); the simulation itself does not depend on them.
     pub fn set_check_bits(&mut self, check_bits: usize) {
         self.check_bits = check_bits;
     }
@@ -122,8 +134,8 @@ impl Cache {
     }
 
     /// The seed the content-weight hash ([`sample_ones`]) derives line
-    /// weights from. Replay needs it to resample a captured
-    /// [`LineKey`] at a different stored width.
+    /// weights from. Scoring observers and replay need it to turn a
+    /// [`LineKey`] into a weight at their stored width.
     pub fn ones_seed(&self) -> u64 {
         self.ones_seed
     }
@@ -165,7 +177,7 @@ impl Cache {
                     continue;
                 }
                 self.stats.line_reads += 1;
-                observer.line_read(line.ones);
+                observer.line_read(line.key(set));
                 if hit_way != Some(w) {
                     line.unchecked += 1;
                     self.stats.concealed_reads += 1;
@@ -174,9 +186,8 @@ impl Cache {
             }
         } else if let Some(w) = hit_way {
             // Serial mode: only the matching way is read.
-            let line = &self.lines[base + w];
             self.stats.line_reads += 1;
-            observer.line_read(line.ones);
+            observer.line_read(self.lines[base + w].key(set));
         }
 
         match hit_way {
@@ -186,12 +197,7 @@ impl Cache {
                 line.unchecked = 0;
                 self.stats.read_hits += 1;
                 self.stats.demand_checks += 1;
-                let key = LineKey {
-                    tag,
-                    set: set as u64,
-                    version: line.version,
-                };
-                observer.demand_read_keyed(key, line.ones, n);
+                observer.demand_read(line.key(set), n);
                 self.policy.on_access(set, w);
                 AccessResult {
                     hit: true,
@@ -224,14 +230,11 @@ impl Cache {
         match hit_way {
             Some(w) => {
                 self.stats.write_hits += 1;
-                let stored_bits = self.stored_line_bits();
-                let seed = self.ones_seed;
                 let line = &mut self.lines[base + w];
                 line.dirty = true;
                 line.unchecked = 0;
                 line.version += 1;
-                line.ones = sample_ones(seed, tag, set as u64, line.version, stored_bits);
-                observer.line_write(line.ones);
+                observer.line_write(line.key(set));
                 self.policy.on_access(set, w);
                 AccessResult {
                     hit: true,
@@ -296,29 +299,20 @@ impl Cache {
                 if victim.dirty {
                     self.stats.dirty_evictions += 1;
                 }
-                let key = LineKey {
-                    tag: victim.tag,
-                    set: set as u64,
-                    version: victim.version,
-                };
-                observer.eviction_keyed(key, victim.dirty, victim.ones, victim.unchecked);
+                observer.eviction(victim.key(set), victim.dirty, victim.unchecked);
                 (w, Some(info))
             }
         };
         self.stats.fills += 1;
-        let stored_bits = self.stored_line_bits();
-        let seed = self.ones_seed;
         let line = &mut self.lines[base + way];
-        line.version += 1;
         *line = Line {
             valid: true,
             dirty,
             tag,
             unchecked: 0,
-            ones: sample_ones(seed, tag, set as u64, line.version, stored_bits),
-            version: line.version,
+            version: line.version + 1,
         };
-        observer.line_write(line.ones);
+        observer.line_write(line.key(set));
         self.policy.on_fill(set, way);
         evicted
     }
@@ -341,13 +335,9 @@ impl Cache {
             }
             self.stats.line_reads += 1;
             self.stats.scrub_checks += 1;
-            observer.line_read(line.ones);
-            let key = LineKey {
-                tag: line.tag,
-                set: (idx / ways) as u64,
-                version: line.version,
-            };
-            observer.scrub_check_keyed(key, line.dirty, line.ones, line.unchecked + 1);
+            let key = line.key(idx / ways);
+            observer.line_read(key);
+            observer.scrub_check(key, line.dirty, line.unchecked + 1);
             line.unchecked = 0;
             scrubbed += 1;
         }
@@ -572,7 +562,7 @@ mod tests {
     struct NRecorder(Vec<u64>);
 
     impl AccessObserver for NRecorder {
-        fn demand_read(&mut self, _ones: u32, n: u64) {
+        fn demand_read(&mut self, _key: LineKey, n: u64) {
             self.0.push(n);
         }
     }
@@ -698,21 +688,32 @@ mod tests {
         assert_eq!(ev.unchecked_reads, 4);
     }
 
+    /// Observer that records the content key of every (re)write.
+    #[derive(Default)]
+    struct Writes(Vec<LineKey>);
+
+    impl AccessObserver for Writes {
+        fn line_write(&mut self, key: LineKey) {
+            self.0.push(key);
+        }
+    }
+
+    /// The weights a scoring observer derives for `keys` on `c`.
+    fn weights(c: &Cache, keys: &[LineKey]) -> Vec<u32> {
+        keys.iter()
+            .map(|k| sample_ones(c.ones_seed(), k.tag, k.set, k.version, c.stored_line_bits()))
+            .collect()
+    }
+
     #[test]
     fn ones_weight_is_near_half_width() {
         let mut c = small(AccessMode::Parallel);
-        #[derive(Default)]
-        struct Ones(Vec<u32>);
-        impl AccessObserver for Ones {
-            fn line_write(&mut self, ones: u32) {
-                self.0.push(ones);
-            }
-        }
-        let mut obs = Ones::default();
+        let mut obs = Writes::default();
         for i in 0..100u64 {
             c.read(i * 64, &mut obs);
         }
-        let mean = obs.0.iter().map(|&o| f64::from(o)).sum::<f64>() / obs.0.len() as f64;
+        let ones = weights(&c, &obs.0);
+        let mean = ones.iter().map(|&o| f64::from(o)).sum::<f64>() / ones.len() as f64;
         assert!(
             (mean - 256.0).abs() < 15.0,
             "mean ones = {mean} for 512-bit lines"
@@ -724,21 +725,12 @@ mod tests {
         let mut c = small(AccessMode::Parallel);
         c.set_check_bits(64);
         assert_eq!(c.stored_line_bits(), 576);
-        #[derive(Default)]
-        struct MaxOnes(u32);
-        impl AccessObserver for MaxOnes {
-            fn line_write(&mut self, ones: u32) {
-                self.0 = self.0.max(ones);
-            }
-        }
-        let mut obs = MaxOnes::default();
+        let mut obs = Writes::default();
         for i in 0..200u64 {
             c.read(i * 64, &mut obs);
         }
-        assert!(
-            obs.0 > 256,
-            "576-bit lines should sometimes exceed 256 ones"
-        );
+        let max = weights(&c, &obs.0).into_iter().max().unwrap();
+        assert!(max > 256, "576-bit lines should sometimes exceed 256 ones");
     }
 
     #[test]
@@ -751,19 +743,18 @@ mod tests {
             .build()
             .unwrap();
         let mut c = Cache::new(config, Replacement::Lru);
-        #[derive(Default)]
-        struct AllOnes(Vec<u32>);
-        impl AccessObserver for AllOnes {
-            fn line_write(&mut self, ones: u32) {
-                self.0.push(ones);
-            }
-        }
-        let mut obs = AllOnes::default();
+        let mut obs = Writes::default();
         c.read(0, &mut obs);
         for _ in 0..20 {
             c.write(0, &mut obs);
         }
-        let distinct: std::collections::HashSet<u32> = obs.0.iter().copied().collect();
+        let versions: Vec<u64> = obs.0.iter().map(|k| k.version).collect();
+        assert_eq!(
+            versions,
+            (1..=21).collect::<Vec<_>>(),
+            "every rewrite bumps the version"
+        );
+        let distinct: std::collections::HashSet<u32> = weights(&c, &obs.0).into_iter().collect();
         assert!(distinct.len() > 5, "rewrites should resample the weight");
     }
 
@@ -772,7 +763,7 @@ mod tests {
     struct ScrubRecorder(Vec<(bool, u64)>);
 
     impl AccessObserver for ScrubRecorder {
-        fn scrub_check(&mut self, dirty: bool, _ones: u32, n: u64) {
+        fn scrub_check(&mut self, _key: LineKey, dirty: bool, n: u64) {
             self.0.push((dirty, n));
         }
     }

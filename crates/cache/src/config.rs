@@ -52,6 +52,10 @@ pub struct CacheConfig {
     associativity: usize,
     block_bytes: usize,
     access_mode: AccessMode,
+    /// `log2(block_bytes)` and `log2(num_sets)`: both are validated powers
+    /// of two, so the address split is shifts and masks, not divisions.
+    block_shift: u32,
+    set_bits: u32,
 }
 
 impl CacheConfig {
@@ -87,7 +91,7 @@ impl CacheConfig {
 
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
-        self.size_bytes / (self.block_bytes * self.associativity)
+        1 << self.set_bits
     }
 
     /// Total number of lines.
@@ -102,15 +106,14 @@ impl CacheConfig {
 
     /// Splits a byte address into `(tag, set_index)`.
     pub fn split_address(&self, address: u64) -> (u64, usize) {
-        let line = address / self.block_bytes as u64;
-        let set = (line % self.num_sets() as u64) as usize;
-        let tag = line / self.num_sets() as u64;
-        (tag, set)
+        let line = address >> self.block_shift;
+        let set = (line & ((1u64 << self.set_bits) - 1)) as usize;
+        (line >> self.set_bits, set)
     }
 
     /// Reconstructs the line-granular address from `(tag, set_index)`.
     pub fn join_address(&self, tag: u64, set: usize) -> u64 {
-        (tag * self.num_sets() as u64 + set as u64) * self.block_bytes as u64
+        ((tag << self.set_bits) | set as u64) << self.block_shift
     }
 }
 
@@ -205,6 +208,8 @@ impl CacheConfigBuilder {
             associativity,
             block_bytes,
             access_mode: self.access_mode,
+            block_shift: block_bytes.trailing_zeros(),
+            set_bits: sets.trailing_zeros(),
         })
     }
 }

@@ -237,8 +237,7 @@ impl Hierarchy {
         if !r.hit {
             self.memory_reads += 1;
         }
-        if let Some(ev) = r.evicted.filter(|e| e.dirty) {
-            let _ = ev;
+        if r.evicted.is_some_and(|e| e.dirty) {
             self.memory_writes += 1;
         }
     }
@@ -248,8 +247,7 @@ impl Hierarchy {
         // allocates without fetching from memory — unlike a demand-store
         // write-allocate, no `memory_reads` is charged.
         let r = self.l2.install_writeback(address, observer);
-        if let Some(ev) = r.evicted.filter(|e| e.dirty) {
-            let _ = ev;
+        if r.evicted.is_some_and(|e| e.dirty) {
             self.memory_writes += 1;
         }
     }
@@ -367,7 +365,7 @@ mod tests {
         #[derive(Default)]
         struct CountReads(u64);
         impl AccessObserver for CountReads {
-            fn line_read(&mut self, _ones: u32) {
+            fn line_read(&mut self, _key: crate::LineKey) {
                 self.0 += 1;
             }
         }

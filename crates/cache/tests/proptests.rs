@@ -1,7 +1,7 @@
 //! Property-based tests for the cache simulator.
 
 use proptest::prelude::*;
-use reap_cache::{AccessMode, AccessObserver, Cache, CacheConfig, Replacement};
+use reap_cache::{AccessMode, AccessObserver, Cache, CacheConfig, LineKey, Replacement};
 
 fn small_cache(ways: usize, sets_pow: u32, mode: AccessMode, policy: Replacement) -> Cache {
     let sets = 1usize << sets_pow;
@@ -35,15 +35,15 @@ struct Audit {
 }
 
 impl AccessObserver for Audit {
-    fn demand_read(&mut self, _ones: u32, n: u64) {
+    fn demand_read(&mut self, _key: LineKey, n: u64) {
         self.demand_n.push(n);
     }
 
-    fn line_read(&mut self, _ones: u32) {
+    fn line_read(&mut self, _key: LineKey) {
         self.line_reads += 1;
     }
 
-    fn eviction(&mut self, _dirty: bool, _ones: u32, _unchecked: u64) {
+    fn eviction(&mut self, _key: LineKey, _dirty: bool, _unchecked: u64) {
         self.evictions += 1;
     }
 }
@@ -218,5 +218,38 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    /// The shift/mask address split is the division form, bit for bit,
+    /// on every valid geometry: `line = address / block`, `set = line %
+    /// sets`, `tag = line / sets`, and the join inverts it up to the
+    /// block offset.
+    #[test]
+    fn shift_mask_split_matches_division(
+        block_pow in 0u32..13,
+        sets_pow in 0u32..21,
+        ways in 1usize..17,
+        address in any::<u64>(),
+    ) {
+        let (block, sets) = (1usize << block_pow, 1usize << sets_pow);
+        let config = CacheConfig::builder()
+            .name("T")
+            .size_bytes(sets * ways * block)
+            .associativity(ways)
+            .block_bytes(block)
+            .build()
+            .unwrap();
+        prop_assert_eq!(config.num_sets(), sets);
+        let line = address / block as u64;
+        let (tag, set) = config.split_address(address);
+        prop_assert_eq!(tag, line / sets as u64);
+        prop_assert_eq!(set as u64, line % sets as u64);
+        prop_assert_eq!(
+            config.join_address(tag, set),
+            (tag * sets as u64 + set as u64) * block as u64
+        );
+        prop_assert_eq!(config.join_address(tag, set), address - address % block as u64);
     }
 }

@@ -357,12 +357,7 @@ pub fn run_sweep_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Ca
         |i, outcome| {
             if let Ok(Ok(rows)) = &outcome.result {
                 if let Some(writer) = writer.as_mut() {
-                    // A checkpoint write failure must not kill the
-                    // campaign mid-flight; the rows are still in memory
-                    // and will be reported. Surface it on stderr.
-                    if let Err(e) = writer.record(pending[i].name(), rows) {
-                        eprintln!("warning: {e}");
-                    }
+                    checkpoint::tolerate_write_failure(writer.record(pending[i].name(), rows));
                 }
                 done_this_run += 1;
                 if interrupt_after.is_some_and(|n| done_this_run as u64 >= n) {

@@ -462,7 +462,7 @@ impl CaptureObserver {
 }
 
 impl AccessObserver for CaptureObserver {
-    fn demand_read_keyed(&mut self, key: LineKey, _line_ones: u32, unchecked_reads: u64) {
+    fn demand_read(&mut self, key: LineKey, unchecked_reads: u64) {
         self.records.push(ExposureRecord {
             kind: ExposureKind::Demand,
             key,
@@ -470,7 +470,7 @@ impl AccessObserver for CaptureObserver {
         });
     }
 
-    fn eviction_keyed(&mut self, key: LineKey, dirty: bool, _line_ones: u32, unchecked_reads: u64) {
+    fn eviction(&mut self, key: LineKey, dirty: bool, unchecked_reads: u64) {
         if dirty && unchecked_reads > 0 {
             self.records.push(ExposureRecord {
                 kind: ExposureKind::DirtyEviction,
@@ -480,13 +480,7 @@ impl AccessObserver for CaptureObserver {
         }
     }
 
-    fn scrub_check_keyed(
-        &mut self,
-        key: LineKey,
-        dirty: bool,
-        _line_ones: u32,
-        unchecked_reads: u64,
-    ) {
+    fn scrub_check(&mut self, key: LineKey, dirty: bool, unchecked_reads: u64) {
         if dirty {
             self.records.push(ExposureRecord {
                 kind: ExposureKind::DirtyScrub,
@@ -512,7 +506,7 @@ mod tests {
     #[test]
     fn demand_events_always_recorded() {
         let mut obs = CaptureObserver::new();
-        obs.demand_read_keyed(key(1), 288, 5);
+        obs.demand_read(key(1), 5);
         assert_eq!(obs.records().len(), 1);
         assert_eq!(obs.records()[0].kind, ExposureKind::Demand);
         assert_eq!(obs.records()[0].unchecked_reads, 5);
@@ -521,12 +515,12 @@ mod tests {
     #[test]
     fn clean_scrubs_and_evictions_filtered() {
         let mut obs = CaptureObserver::new();
-        obs.scrub_check_keyed(key(1), false, 288, 5);
-        obs.eviction_keyed(key(1), false, 288, 5);
-        obs.eviction_keyed(key(1), true, 288, 0);
+        obs.scrub_check(key(1), false, 5);
+        obs.eviction(key(1), false, 5);
+        obs.eviction(key(1), true, 0);
         assert!(obs.records().is_empty());
-        obs.scrub_check_keyed(key(2), true, 288, 5);
-        obs.eviction_keyed(key(3), true, 288, 5);
+        obs.scrub_check(key(2), true, 5);
+        obs.eviction(key(3), true, 5);
         assert_eq!(obs.records().len(), 2);
         assert_eq!(obs.records()[0].kind, ExposureKind::DirtyScrub);
         assert_eq!(obs.records()[1].kind, ExposureKind::DirtyEviction);
@@ -668,13 +662,37 @@ mod tests {
     }
 
     #[test]
-    fn unkeyed_hooks_record_nothing() {
-        // The capture relies on keyed delivery; the unkeyed defaults are
-        // no-ops so a non-keyed caller fails loudly in tests rather than
-        // silently capturing keyless events.
+    fn line_reads_and_writes_record_nothing() {
+        // Only the three exposure kinds are scored, so plain physical
+        // reads and rewrites leave no record.
         let mut obs = CaptureObserver::new();
-        obs.line_read(288);
-        obs.line_write(288);
+        obs.line_read(key(1));
+        obs.line_write(key(2));
         assert!(obs.records().is_empty());
+    }
+
+    #[test]
+    fn records_do_not_depend_on_check_bits() {
+        // The cache samples no weights, so the L2's declared check bits
+        // cannot reach the captured stream.
+        let capture = |check_bits| {
+            let mut h = Hierarchy::new(HierarchyConfig::paper(), Replacement::Lru);
+            h.l2_mut().set_check_bits(check_bits);
+            let mut obs = CaptureObserver::new();
+            for (i, a) in reap_trace::SpecWorkload::Mcf
+                .stream(3)
+                .take(60_000)
+                .enumerate()
+            {
+                h.access(a, &mut obs);
+                if i % 5_000 == 4_999 {
+                    h.l2_mut().scrub(&mut obs);
+                }
+            }
+            obs.into_records()
+        };
+        let plain = capture(0);
+        assert!(plain.iter().any(|r| r.kind == ExposureKind::DirtyScrub));
+        assert_eq!(plain, capture(64));
     }
 }

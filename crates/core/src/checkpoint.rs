@@ -286,6 +286,17 @@ impl CheckpointWriter {
     }
 }
 
+/// Reports a failed journal append without failing the run: the job's
+/// rows are still in memory and will be reported; only a later resume
+/// redoes the job. Counted as `checkpoint.write_failed` (when telemetry
+/// is on) and warned about on stderr.
+pub fn tolerate_write_failure(result: Result<(), CheckpointError>) {
+    if let Err(e) = result {
+        crate::capture_store::bump("checkpoint.write_failed");
+        eprintln!("warning: {e}");
+    }
+}
+
 /// Serializes one row as a JSON object with every `f64` as its exact
 /// IEEE-754 bit pattern in hex (and `max_n` as a decimal string), so the
 /// row survives the workspace's f64-backed JSON parser bit-for-bit.

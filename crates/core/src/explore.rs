@@ -884,11 +884,7 @@ pub fn explore(config: &ExploreConfig) -> Result<ExploreOutcome, ExploreError> {
             let rows = run_combo(&job, accesses, seed, workloads, &source)?;
             if let Some(w) = writer.lock().expect("writer lock").as_mut() {
                 let encoded: Vec<String> = rows.iter().map(explore_row_to_json).collect();
-                // A journal write failure must not kill the run; the
-                // rows are still in memory. Surface it on stderr.
-                if let Err(e) = w.record_json_rows(&job.key(), &encoded) {
-                    eprintln!("warning: {e}");
-                }
+                checkpoint::tolerate_write_failure(w.record_json_rows(&job.key(), &encoded));
             }
             Ok::<(String, Vec<ExploreRow>), ExploreError>((job.key(), rows))
         });

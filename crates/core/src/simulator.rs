@@ -302,11 +302,6 @@ impl Simulator {
         let progress = reap_obs::progress_enabled()
             .then(|| reap_obs::Progress::new("capture", Some(total_accesses)));
         let mut hierarchy = Hierarchy::new(self.config.hierarchy.clone(), self.config.replacement);
-        // Check bits widen the sampled content weights, but the capture
-        // ignores weights entirely (replay resamples them at the analysis
-        // point's width), so the capture is ECC-independent even though
-        // the driving cache carries this simulator's check bits.
-        hierarchy.l2_mut().set_check_bits(self.check_bits);
         let line_bits = self.config.hierarchy.l2.line_bits();
         let ones_seed = hierarchy.l2().ones_seed();
         let mut observer = CaptureObserver::new();
@@ -690,7 +685,7 @@ impl Simulator {
         hierarchy.l2_mut().set_check_bits(self.check_bits);
         let stored_bits = hierarchy.l2().stored_line_bits() as u32;
         let model = AccumulationModel::new(self.p_rd, self.config.ecc.t());
-        let mut observer = ReliabilityObserver::new(model, stored_bits);
+        let mut observer = ReliabilityObserver::new(model, hierarchy.l2().ones_seed(), stored_bits);
 
         let mut iter = trace.into_iter();
         for _ in 0..self.config.warmup_accesses {

@@ -1,10 +1,12 @@
-//! Telemetry accumulation semantics of the worker pools.
+//! Telemetry accumulation semantics of the worker pools, and the
+//! counted fallback of the checkpoint journal.
 //!
 //! These tests own the process-global telemetry registry, so they live in
 //! their own integration-test binary (one process) rather than in the
 //! library's unit-test binary, where they would race other telemetry
 //! tests for the global state.
 
+use reap_core::checkpoint::{self, CheckpointWriter};
 use reap_core::supervise::{pool_map_supervised, JobOutcome, SupervisorConfig};
 use reap_core::sweep::pool_map;
 use std::ops::ControlFlow;
@@ -145,4 +147,30 @@ fn worker_seconds_gauges_accumulate_across_batches() {
     );
 
     reap_obs::set_enabled(false);
+}
+
+/// A journal append that fails (here: `/dev/full` opens for appending,
+/// then refuses every write) is tolerated and counted once per failed
+/// job as `checkpoint.write_failed`; a successful append counts nothing.
+#[cfg(target_os = "linux")]
+#[test]
+fn journal_write_failures_are_counted() {
+    let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    reap_obs::global().reset();
+    reap_obs::set_enabled(true);
+
+    let mut full = CheckpointWriter::append_to(std::path::Path::new("/dev/full"))
+        .expect("/dev/full opens for appending");
+    checkpoint::tolerate_write_failure(full.record("mcf", &[]));
+    checkpoint::tolerate_write_failure(full.record_json_rows("ways=8", &["{}".to_owned()]));
+
+    let ok_path = std::env::temp_dir().join(format!("reap-journal-ok-{}", std::process::id()));
+    std::fs::write(&ok_path, "").expect("scratch journal");
+    let mut ok = CheckpointWriter::append_to(&ok_path).expect("scratch journal opens");
+    checkpoint::tolerate_write_failure(ok.record("mcf", &[]));
+    std::fs::remove_file(&ok_path).ok();
+
+    let failed = reap_obs::global().counter("checkpoint.write_failed").get();
+    reap_obs::set_enabled(false);
+    assert_eq!(failed, 2);
 }

@@ -2,7 +2,7 @@
 //! for arbitrary event streams, not just the built-in workloads.
 
 use proptest::prelude::*;
-use reap_cache::{AccessObserver, Replacement};
+use reap_cache::Replacement;
 use reap_core::analysis::NumericExample;
 use reap_core::campaign::{run_sweep_campaign, CampaignConfig, CampaignError, SweepMode};
 use reap_core::checkpoint::{self, CheckpointMeta, CheckpointWriter, SweepRow};
@@ -128,9 +128,9 @@ proptest! {
         p_exp in -10.0f64..-4.0,
     ) {
         let model = AccumulationModel::sec(10f64.powf(p_exp));
-        let mut obs = ReliabilityObserver::new(model, 576);
+        let mut obs = ReliabilityObserver::new(model, 0, 576);
         for &(n_ones, n_reads) in &events {
-            obs.demand_read(n_ones, n_reads);
+            obs.record(ExposureKind::Demand, n_ones, n_reads);
         }
         let conv = obs.conventional().expected_failures();
         let reap = obs.reap().expected_failures();
@@ -147,9 +147,9 @@ proptest! {
     fn histogram_equals_conventional_mass(
         events in proptest::collection::vec((1u32..577, 1u64..10_000), 1..100),
     ) {
-        let mut obs = ReliabilityObserver::new(AccumulationModel::sec(1e-7), 576);
+        let mut obs = ReliabilityObserver::new(AccumulationModel::sec(1e-7), 0, 576);
         for &(n_ones, n_reads) in &events {
-            obs.demand_read(n_ones, n_reads);
+            obs.record(ExposureKind::Demand, n_ones, n_reads);
         }
         let diff = (obs.histogram().total_failure_probability()
             - obs.conventional().expected_failures())

@@ -45,9 +45,12 @@ fn fmt_us(us: f64) -> String {
     }
 }
 
-/// Counters summarized on the report's capture-store line.
+/// Counters summarized on the report's capture-store line, which also
+/// carries the checkpoint journal's counted fallback.
 fn is_capture_counter(name: &str) -> bool {
-    name.starts_with("capture_store.") || name.starts_with("capture_source.")
+    name.starts_with("capture_store.")
+        || name.starts_with("capture_source.")
+        || name.starts_with("checkpoint.")
 }
 
 fn fmt_bytes(bytes: u64) -> String {
@@ -221,13 +224,14 @@ pub fn render_report(snapshot: &Snapshot, options: &ReportOptions) -> String {
         let c = |suffix: &str| counter(&format!("capture_store.{suffix}")).unwrap_or(0);
         let _ = writeln!(
             out,
-            "capture store: hits {}   misses {}   writes {}   invalid {}   write failed {}   recaptured {}",
+            "capture store: hits {}   misses {}   writes {}   invalid {}   write failed {}   recaptured {}   checkpoint write failed {}",
             c("hit"),
             c("miss"),
             c("write"),
             c("invalid"),
             c("write_failed"),
             counter("capture_source.recapture").unwrap_or(0),
+            counter("checkpoint.write_failed").unwrap_or(0),
         );
         let mut line = format!(
             "               read {}   written {}",
@@ -623,6 +627,7 @@ mod tests {
         r.counter("capture_store.hit").add(21);
         r.counter("capture_store.write_failed").add(2);
         r.counter("capture_source.recapture").add(1);
+        r.counter("checkpoint.write_failed").add(3);
         r.counter("capture_store.bytes_read").add(2 << 20);
         r.gauge("capture_store.compression_ratio").set(5.29);
 
@@ -633,10 +638,21 @@ mod tests {
         assert!(text.contains("0.80-1.00"), "{text}");
         assert!(text.contains("hits 21"), "{text}");
         assert!(text.contains("write failed 2   recaptured 1"), "{text}");
+        assert!(text.contains("checkpoint write failed 3"), "{text}");
         // Summarized counters stay out of the generic counter table.
         assert!(!text.contains("capture_source.recapture"), "{text}");
+        assert!(!text.contains("checkpoint.write_failed"), "{text}");
         assert!(text.contains("compression 5.29x"), "{text}");
         assert!(text.contains("process: wall"), "{text}");
+    }
+
+    #[test]
+    fn journal_failures_show_without_a_capture_store() {
+        let r = Registry::new();
+        r.counter("checkpoint.write_failed").add(1);
+        let text = render_report(&r.snapshot(), &ReportOptions::default());
+        assert!(text.contains("checkpoint write failed 1"), "{text}");
+        assert!(!text.contains("checkpoint.write_failed"), "{text}");
     }
 
     #[test]

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let p_rd = read_disturbance_probability(&MtjParams::default());
     let mut h = Hierarchy::new(HierarchyConfig::paper(), Replacement::Lru);
-    let bits = h.l2().stored_line_bits() as u32;
+    let (seed, bits) = (h.l2().ones_seed(), h.l2().stored_line_bits() as u32);
 
     println!("alternating phases of {phase_len} accesses (A: matrix sweep, B: graph walk)");
     println!();
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for cycle in 0..4 {
         for (label, n) in [("A", phase_len), ("B", phase_len)] {
-            let mut obs = ReliabilityObserver::new(AccumulationModel::sec(p_rd), bits);
+            let mut obs = ReliabilityObserver::new(AccumulationModel::sec(p_rd), seed, bits);
             let before = h.l2().stats().reads;
             for a in workload.by_ref().take(n) {
                 h.access(a, &mut obs);

@@ -13,8 +13,8 @@ use reap::trace::SpecWorkload;
 fn run_scrubbed(period: Option<u64>, accesses: usize) -> f64 {
     let p_rd = read_disturbance_probability(&MtjParams::default());
     let mut h = Hierarchy::new(HierarchyConfig::paper(), Replacement::Lru);
-    let bits = h.l2().stored_line_bits() as u32;
-    let mut obs = ReliabilityObserver::new(AccumulationModel::sec(p_rd), bits);
+    let (seed, bits) = (h.l2().ones_seed(), h.l2().stored_line_bits() as u32);
+    let mut obs = ReliabilityObserver::new(AccumulationModel::sec(p_rd), seed, bits);
     let mut stream = SpecWorkload::Calculix.stream(5);
     for a in stream.by_ref().take(accesses / 10) {
         h.access(a, &mut ());
