@@ -358,7 +358,7 @@ fn run<W: Write>(args: RunArgs, mut out: W) -> io::Result<i32> {
     let source = CaptureSource::new(None, args.capture.to_store());
     let report = Simulator::new(experiment.config().clone())
         .map_err(ExperimentError::from)
-        .and_then(|point| source.replay(&experiment, &[point], KernelMode::Exact))
+        .and_then(|point| source.replay(&experiment, &[point], KernelMode::Exact, 1))
         .map(|mut reports| reports.remove(0));
     let code = match report {
         Ok(report) => {

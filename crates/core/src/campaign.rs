@@ -241,7 +241,7 @@ pub fn run_job(
             Simulator::new(config)
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let reports = source.replay(&experiment, &points, kernel)?;
+    let reports = source.replay(&experiment, &points, kernel, 1)?;
     Ok(eccs.into_iter().zip(reports).collect())
 }
 

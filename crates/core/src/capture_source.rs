@@ -45,8 +45,8 @@
 //!     .workload(SpecWorkload::Hmmer)
 //!     .accesses(20_000);
 //! let points = [Simulator::new(experiment.config().clone())?];
-//! let cold = source.replay(&experiment, &points, KernelMode::Exact)?; // trace pass + store write
-//! let warm = source.replay(&experiment, &points, KernelMode::Exact)?; // served from disk
+//! let cold = source.replay(&experiment, &points, KernelMode::Exact, 1)?; // trace pass + store write
+//! let warm = source.replay(&experiment, &points, KernelMode::Exact, 2)?; // served from disk
 //! assert_eq!(cold[0].l2_stats(), warm[0].l2_stats());
 //! # std::fs::remove_dir_all(dir).ok();
 //! # Ok(())
@@ -79,12 +79,14 @@ impl CaptureSource {
     }
 
     /// Scores `experiment`'s capture at every analysis point in `points`
-    /// with one batched replay ([`Simulator::replay_batch_mode`]),
-    /// returning one report per point in input order.
+    /// with one batched replay ([`Simulator::replay_batch_mode`]) split
+    /// across up to `threads` threads, returning one report per point in
+    /// input order.
     ///
     /// The capture comes from the first layer that has it (hot, store,
-    /// trace); a mid-replay stream defect recaptures from the trace once
-    /// (see the module docs).
+    /// trace) and is obtained once for all threads; a mid-replay stream
+    /// defect in any of them recaptures from the trace once (see the
+    /// module docs).
     ///
     /// # Errors
     ///
@@ -96,6 +98,7 @@ impl CaptureSource {
         experiment: &Experiment,
         points: &[Simulator],
         kernel: KernelMode,
+        threads: usize,
     ) -> Result<Vec<Report>, ExperimentError> {
         let key = CaptureKey::new(
             experiment.configured_workload(),
@@ -107,7 +110,7 @@ impl CaptureSource {
             Some(hot) => hot.get_or_capture(key.fingerprint(), store_or_trace)?,
             None => Arc::new(store_or_trace()?),
         };
-        match Simulator::replay_batch_mode(points, &capture, kernel) {
+        match Simulator::replay_batch_mode(points, &capture, kernel, threads) {
             Err(SimulationError::CaptureStream(defect)) => {
                 bump("capture_source.recapture");
                 eprintln!("warning: capture stream failed mid-replay ({defect}); recapturing");
@@ -118,6 +121,7 @@ impl CaptureSource {
                     points,
                     &experiment.capture()?,
                     kernel,
+                    threads,
                 )?)
             }
             other => Ok(other?),

@@ -13,7 +13,9 @@
 //! explorer exploits that split: one capture per (geometry, scrub,
 //! workload), served from the [`CaptureStore`] when one is configured,
 //! then [`Simulator::replay_batch_mode`] scores *every* analysis point
-//! against that capture in a single pass over the events. A grid of
+//! against that capture in one batched replay, split across the
+//! workers a phase's combos leave idle (`max(1, parallelism / combos)`
+//! threads, so a one-combo grid still uses every core). A grid of
 //! `W×S` behavioural combos and `E×R` analysis points costs `W×S` trace
 //! passes (zero when the store is warm), never `W×S×E×R`.
 //!
@@ -653,13 +655,15 @@ fn area_mm2_for(
 
 /// Scores one behavioural combo at every analysis point: one capture
 /// per workload (store-served when possible), one batched replay per
-/// capture, workload sums folded into per-point rows.
+/// capture split across up to `threads` threads, workload sums folded
+/// into per-point rows.
 fn run_combo(
     job: &ComboJob,
     accesses: u64,
     seed: u64,
     workloads: &[SpecWorkload],
     source: &CaptureSource,
+    threads: usize,
 ) -> Result<Vec<ExploreRow>, ExploreError> {
     let hierarchy = HierarchyConfig::paper_with_l2_ways(job.ways)?;
     let template = SimulationConfig::default();
@@ -688,7 +692,7 @@ fn run_combo(
             .accesses(accesses)
             .seed(seed)
             .workload(workload);
-        let reports = source.replay(&experiment, &sims, KernelMode::Exact)?;
+        let reports = source.replay(&experiment, &sims, KernelMode::Exact, threads)?;
         duration += reports[0].duration_seconds();
         for (i, report) in reports.iter().enumerate() {
             fail[i] += report.expected_failures(ProtectionScheme::Reap);
@@ -880,8 +884,12 @@ pub fn explore(config: &ExploreConfig) -> Result<ExploreOutcome, ExploreError> {
         let (accesses, seed) = (config.accesses, config.seed);
         let workloads = &config.workloads;
         let source = CaptureSource::new(None, config.capture_store.clone());
-        let results = pool_map(pending, config.parallelism.max(1), pool, |job| {
-            let rows = run_combo(&job, accesses, seed, workloads, &source)?;
+        // Workers the phase's combos leave idle split each combo's
+        // batched replays instead (a one-combo grid uses every core).
+        let parallelism = config.parallelism.max(1);
+        let threads = (parallelism / pending.len().max(1)).max(1);
+        let results = pool_map(pending, parallelism, pool, |job| {
+            let rows = run_combo(&job, accesses, seed, workloads, &source, threads)?;
             if let Some(w) = writer.lock().expect("writer lock").as_mut() {
                 let encoded: Vec<String> = rows.iter().map(explore_row_to_json).collect();
                 checkpoint::tolerate_write_failure(w.record_json_rows(&job.key(), &encoded));

@@ -470,23 +470,35 @@ impl Simulator {
         points: &[Simulator],
         capture: &ExposureCapture,
     ) -> Result<Vec<Report>, SimulationError> {
-        Self::replay_batch_mode(points, capture, KernelMode::Exact)
+        Self::replay_batch_mode(points, capture, KernelMode::Exact, 1)
     }
 
     /// [`replay_batch`](Self::replay_batch) with an explicit
-    /// [`KernelMode`]. `KernelMode::Exact` keeps the bit-identity
-    /// contract; `KernelMode::FastMath` permits the kernel's documented
-    /// small-argument `exp_m1` shortcut (every scheme sum within `5e-9`
-    /// relative of exact).
+    /// [`KernelMode`] and a thread budget. `KernelMode::Exact` keeps the
+    /// bit-identity contract; `KernelMode::FastMath` permits the
+    /// kernel's documented small-argument `exp_m1` shortcut (every
+    /// scheme sum within `5e-9` relative of exact).
+    ///
+    /// `points` is split into at most `threads` contiguous chunks whose
+    /// boundaries fall on [`MultiReplayAggregator::LANES`] multiples
+    /// (the last chunk takes the remainder). Each chunk streams the
+    /// capture on its own and scores its points with its own kernel;
+    /// the first chunk runs on the calling thread, the rest on scoped
+    /// threads, and the reports are concatenated in input order. A
+    /// point's sums never depend on which other points share its
+    /// kernel, so the reports are bit-identical for every `threads`
+    /// (0 counts as 1).
     ///
     /// # Errors
     ///
     /// Returns [`SimulationError::CaptureMismatch`] if any point's
-    /// behavioural configuration differs from the capture's.
+    /// behavioural configuration differs from the capture's, and
+    /// [`SimulationError::CaptureStream`] if any chunk's stream fails.
     pub fn replay_batch_mode(
         points: &[Simulator],
         capture: &ExposureCapture,
         mode: KernelMode,
+        threads: usize,
     ) -> Result<Vec<Report>, SimulationError> {
         for sim in points {
             sim.check_capture(capture)?;
@@ -494,20 +506,50 @@ impl Simulator {
         if points.is_empty() {
             return Ok(Vec::new());
         }
+        let lanes = MultiReplayAggregator::LANES;
+        let chunk_len = points.len().div_ceil(lanes).div_ceil(threads.max(1)) * lanes;
+        let chunks: Vec<&[Simulator]> = points.chunks(chunk_len).collect();
         let mut span = reap_obs::span("replay_batch");
         span.add_events(capture.event_count());
         if span.is_recording() {
-            reap_obs::global()
+            let registry = reap_obs::global();
+            registry
                 .counter("sim.replay_batch.points")
                 .add(points.len() as u64);
+            registry
+                .counter("sim.replay_batch.chunks")
+                .add(chunks.len() as u64);
         }
 
-        let mut multi =
-            MultiReplayAggregator::with_mode(Self::batch_kernel_points(points, capture), mode);
-        Self::feed_batch(points, capture, |records, ones| {
-            multi.record_block(records, ones);
-        })?;
-        Ok(Self::assemble_batch(points, capture, multi.finish()))
+        let score = |chunk: &[Simulator]| {
+            let mut span = reap_obs::span("replay_batch.chunk");
+            span.add_events(capture.event_count());
+            let mut multi =
+                MultiReplayAggregator::with_mode(Self::batch_kernel_points(chunk, capture), mode);
+            Self::feed_batch(chunk, capture, |records, ones| {
+                multi.record_block(records, ones);
+            })?;
+            Ok(Self::assemble_batch(chunk, capture, multi.finish()))
+        };
+        let (first, rest) = chunks.split_first().expect("points is non-empty");
+        let scored: Vec<Result<Vec<Report>, SimulationError>> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = rest
+                .iter()
+                .map(|&chunk| scope.spawn(move || score(chunk)))
+                .collect();
+            let mut scored = vec![score(first)];
+            scored.extend(spawned.into_iter().map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            }));
+            scored
+        });
+        let mut reports = Vec::with_capacity(points.len());
+        for chunk in scored {
+            reports.extend(chunk?);
+        }
+        Ok(reports)
     }
 
     /// [`replay_batch`](Self::replay_batch) driven by the pre-vectorization

@@ -69,8 +69,33 @@ fn ecc_sweep(source: &CaptureSource, experiment: &Experiment) -> Vec<Report> {
         .map(|ecc| Simulator::new(experiment.clone().ecc(ecc).config().clone()).unwrap())
         .collect();
     source
-        .replay(experiment, &points, KernelMode::Exact)
+        .replay(experiment, &points, KernelMode::Exact, 1)
         .expect("sweep")
+}
+
+/// Bits of `experiment` replayed through `source` on `threads` threads
+/// at six points — every ECC strength at two read currents, so the
+/// batch spans a full 4-lane chunk plus a remainder chunk.
+fn six_point_bits(
+    source: &CaptureSource,
+    experiment: &Experiment,
+    threads: usize,
+) -> Vec<[u64; 4]> {
+    let points: Vec<Simulator> = EccStrength::ALL
+        .into_iter()
+        .flat_map(|ecc| [1.0, 0.8].map(|scale| (ecc, scale)))
+        .map(|(ecc, scale)| {
+            let mtj = reap_mtj::MtjParams::default();
+            let mtj = mtj.with_read_current(scale * mtj.read_current()).unwrap();
+            Simulator::new(experiment.clone().ecc(ecc).mtj(mtj).config().clone()).unwrap()
+        })
+        .collect();
+    source
+        .replay(experiment, &points, KernelMode::Exact, threads)
+        .expect("sweep")
+        .iter()
+        .map(report_bits)
+        .collect()
 }
 
 /// A source over `store` alone (no hot layer).
@@ -360,6 +385,8 @@ fn concurrent_stores_of_one_key_all_succeed() {
 /// A store entry that rots after load-time validation fails the streamed
 /// replay; the source recaptures exactly once, to the bits of a cold
 /// capture, and evicts the hot entry so the next call produces it again.
+/// Holds for a batch split across threads too: every chunk's stream
+/// hits the rot, and the source still recaptures once.
 #[test]
 fn mid_replay_rot_recaptures_once_through_the_source() {
     reap_obs::set_enabled(true);
@@ -368,11 +395,8 @@ fn mid_replay_rot_recaptures_once_through_the_source() {
         .budgets(1_000, 20_000)
         .seed(5);
     let key = CaptureKey::new(SpecWorkload::Namd, 5, experiment.config());
-    let cold: Vec<_> = ecc_sweep(&CaptureSource::default(), &experiment)
-        .iter()
-        .map(report_bits)
-        .collect();
-    for truncate in [true, false] {
+    let cold = six_point_bits(&CaptureSource::default(), &experiment, 1);
+    for (threads, truncate) in [(1, true), (1, false), (2, true), (2, false)] {
         let dir = scratch("rot");
         let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
         ecc_sweep(&disk(&store), &experiment);
@@ -389,7 +413,7 @@ fn mid_replay_rot_recaptures_once_through_the_source() {
         // streamed capture that re-opens the file at replay time.
         let hot = Arc::new(HotCaptureCache::new(4));
         let source = CaptureSource::new(Some(Arc::clone(&hot)), Some(store.clone()));
-        ecc_sweep(&source, &experiment);
+        assert_eq!(six_point_bits(&source, &experiment, threads), cold);
         assert_eq!(hot.len(), 1);
 
         // Damage the entry after its first frame.
@@ -406,19 +430,13 @@ fn mid_replay_rot_recaptures_once_through_the_source() {
             counter("serve.cache.evict"),
             counter("serve.cache.miss"),
         );
-        let recovered: Vec<_> = ecc_sweep(&source, &experiment)
-            .iter()
-            .map(report_bits)
-            .collect();
+        let recovered = six_point_bits(&source, &experiment, threads);
         assert_eq!(recovered, cold, "recapture must match a cold capture");
         assert_eq!(counter("capture_source.recapture"), recaptures + 1);
         assert_eq!(counter("serve.cache.evict"), evictions + 1);
         assert!(hot.is_empty(), "the rotten entry was evicted");
 
-        let again: Vec<_> = ecc_sweep(&source, &experiment)
-            .iter()
-            .map(report_bits)
-            .collect();
+        let again = six_point_bits(&source, &experiment, threads);
         assert_eq!(again, cold);
         assert_eq!(counter("serve.cache.miss"), misses + 1, "produced again");
         assert_eq!(counter("capture_source.recapture"), recaptures + 1);

@@ -174,3 +174,60 @@ fn journal_write_failures_are_counted() {
     reap_obs::set_enabled(false);
     assert_eq!(failed, 2);
 }
+
+/// A batched replay split across threads counts its chunks and emits one
+/// `replay_batch.chunk` span per chunk, each streaming the whole
+/// capture; the chunk threads are not pool workers and add no
+/// `.worker.` metrics.
+#[test]
+fn chunked_replay_counts_chunks_outside_the_pool_metrics() {
+    let _guard = REGISTRY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let experiment = reap_core::Experiment::paper_hierarchy()
+        .workload(reap_trace::SpecWorkload::Mcf)
+        .budgets(500, 4_000);
+    let capture = experiment.clone().capture().expect("capture");
+    let points: Vec<reap_core::Simulator> = (0..9)
+        .map(|i| {
+            let ecc = reap_core::EccStrength::ALL[i % 3];
+            reap_core::Simulator::new(experiment.clone().ecc(ecc).config().clone()).unwrap()
+        })
+        .collect();
+    reap_obs::global().reset();
+    reap_obs::set_enabled(true);
+    // 9 points are 3 lanes: 3 chunks of at most 4 points at threads = 3,
+    // and the same 3 chunks when 5 threads are offered.
+    for threads in [3, 5] {
+        let reports = reap_core::Simulator::replay_batch_mode(
+            &points,
+            &capture,
+            reap_core::KernelMode::Exact,
+            threads,
+        )
+        .unwrap();
+        assert_eq!(reports.len(), 9);
+    }
+    reap_obs::set_enabled(false);
+    let snapshot = reap_obs::global().snapshot();
+    let chunks: Vec<_> = snapshot
+        .spans
+        .iter()
+        .filter(|s| s.name == "replay_batch.chunk")
+        .collect();
+    assert_eq!(chunks.len(), 6);
+    assert!(chunks.iter().all(|s| s.events == capture.event_count()));
+    assert_eq!(
+        reap_obs::global().counter("sim.replay_batch.chunks").get(),
+        6
+    );
+    assert_eq!(
+        reap_obs::global().counter("sim.replay_batch.points").get(),
+        18
+    );
+    assert!(
+        !snapshot
+            .counters
+            .iter()
+            .any(|(n, _)| n.contains(".worker.")),
+        "chunk threads are not pool workers"
+    );
+}

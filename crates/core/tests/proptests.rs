@@ -276,6 +276,58 @@ proptest! {
         }
     }
 
+    /// Splitting a batched replay across threads is invisible in the
+    /// bits: for 1–13 heterogeneous points (full 4-lane chunks,
+    /// remainders, and budgets with more threads than lanes), every
+    /// thread budget up to 5 returns exactly the reports of the
+    /// one-thread replay, in either kernel mode.
+    #[test]
+    fn chunked_replay_is_bit_identical_across_thread_budgets(
+        workload_index in 0usize..21,
+        seed in any::<u64>(),
+        num_points in 1usize..=13,
+        point_seed in any::<u64>(),
+        fast in any::<bool>(),
+    ) {
+        let base = Experiment::paper_hierarchy()
+            .workload(SpecWorkload::ALL[workload_index])
+            .budgets(500, 4_000)
+            .seed(seed);
+        let capture = base.clone().capture().expect("capture");
+        let mtj = reap_mtj::MtjParams::default();
+        let points: Vec<Simulator> = (0..num_points as u64)
+            .map(|i| {
+                let ecc = EccStrength::ALL[(mix(point_seed, i) % 3) as usize];
+                let scale = 0.7 + (mix(point_seed ^ 0x5ca1e, i) % 31) as f64 * 0.01;
+                let card = mtj
+                    .with_read_current(scale * mtj.read_current())
+                    .expect("valid read current");
+                Simulator::new(base.clone().ecc(ecc).mtj(card).config().clone())
+                    .expect("simulator")
+            })
+            .collect();
+        let mode = if fast { KernelMode::FastMath } else { KernelMode::Exact };
+        let bits = |threads: usize| -> Vec<(Vec<u64>, reap_reliability::LogHistogram)> {
+            Simulator::replay_batch_mode(&points, &capture, mode, threads)
+                .expect("batch")
+                .iter()
+                .map(|r| {
+                    let mut sums: Vec<u64> = ProtectionScheme::ALL
+                        .iter()
+                        .map(|&scheme| r.expected_failures(scheme).to_bits())
+                        .collect();
+                    sums.push(r.writeback_exposure().to_bits());
+                    (sums, r.histogram().clone())
+                })
+                .collect()
+        };
+        let one = bits(1);
+        prop_assert_eq!(one.len(), num_points);
+        for threads in 2..=5 {
+            prop_assert_eq!(&bits(threads), &one, "threads = {}", threads);
+        }
+    }
+
     /// The vectorized batched kernel is pinned bit-identical to the
     /// scalar reference kernel for arbitrary record streams: every
     /// failure sum, event count and histogram bin agrees to the bit

@@ -53,6 +53,12 @@ fn is_capture_counter(name: &str) -> bool {
         || name.starts_with("checkpoint.")
 }
 
+/// Chunks the batched replays were split into, and the span each chunk
+/// emits. How many chunks a replay gets follows `-j` and the grid shape,
+/// so the stable `--no-timings` mode leaves both out, like worker counts.
+const REPLAY_CHUNKS: &str = "sim.replay_batch.chunks";
+const CHUNK_SPAN: &str = "replay_batch.chunk";
+
 fn fmt_bytes(bytes: u64) -> String {
     let b = bytes as f64;
     if b >= (1 << 20) as f64 {
@@ -167,7 +173,7 @@ pub fn render_report(snapshot: &Snapshot, options: &ReportOptions) -> String {
             }
         } else {
             let _ = writeln!(out, "{:<28} {:>7} {:>12}", "phase", "count", "events");
-            for (name, agg) in &spans {
+            for (name, agg) in spans.iter().filter(|(name, _)| *name != CHUNK_SPAN) {
                 let _ = writeln!(out, "{name:<28} {:>7} {:>12}", agg.count, agg.events);
             }
         }
@@ -220,6 +226,18 @@ pub fn render_report(snapshot: &Snapshot, options: &ReportOptions) -> String {
             .find(|(n, _)| n == name)
             .map(|(_, v)| *v)
     };
+    // Chunk threads run beside the pool workers, outside their busy
+    // counters: this line is where a replay's parallelism shows.
+    if let Some(chunks) = counter(REPLAY_CHUNKS).filter(|_| options.timings) {
+        let replays = spans.get("replay_batch").map_or(0, |agg| agg.count);
+        let mut line = format!("batched replay: replays {replays}   chunks {chunks}");
+        if replays > 0 {
+            let _ = write!(line, "   parallelism {:.2}", chunks as f64 / replays as f64);
+        }
+        let _ = writeln!(out, "{line}");
+        let _ = writeln!(out);
+    }
+
     if snapshot.counters.iter().any(|(n, _)| is_capture_counter(n)) {
         let c = |suffix: &str| counter(&format!("capture_store.{suffix}")).unwrap_or(0);
         let _ = writeln!(
@@ -290,7 +308,10 @@ pub fn render_report(snapshot: &Snapshot, options: &ReportOptions) -> String {
         .counters
         .iter()
         .filter(|(n, _)| {
-            !n.contains(".worker.") && !is_capture_counter(n) && !n.starts_with("serve.")
+            !n.contains(".worker.")
+                && !is_capture_counter(n)
+                && !n.starts_with("serve.")
+                && n != REPLAY_CHUNKS
         })
         .collect();
     if !other_counters.is_empty() {
@@ -644,6 +665,30 @@ mod tests {
         assert!(!text.contains("checkpoint.write_failed"), "{text}");
         assert!(text.contains("compression 5.29x"), "{text}");
         assert!(text.contains("process: wall"), "{text}");
+    }
+
+    #[test]
+    fn replay_parallelism_shows_only_with_timings() {
+        let r = Registry::new();
+        for _ in 0..4 {
+            let _replay = r.span("replay_batch");
+            drop(r.span(CHUNK_SPAN));
+            drop(r.span(CHUNK_SPAN));
+        }
+        r.counter(REPLAY_CHUNKS).add(8);
+        r.counter("sim.replay_batch.points").add(372);
+        let text = render_report(&r.snapshot(), &ReportOptions::default());
+        assert!(
+            text.contains("batched replay: replays 4   chunks 8   parallelism 2.00"),
+            "{text}"
+        );
+        assert!(text.contains(CHUNK_SPAN), "{text}");
+        assert!(!text.contains(REPLAY_CHUNKS), "{text}");
+        let stable = render_report(&r.snapshot(), &ReportOptions { timings: false });
+        assert!(!stable.contains("batched replay:"), "{stable}");
+        assert!(!stable.contains("chunk"), "{stable}");
+        assert!(stable.contains("replay_batch"), "{stable}");
+        assert!(stable.contains("sim.replay_batch.points"), "{stable}");
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //! * [`MultiReplayAggregator`] — the production kernel. All per-point
 //!   state lives in flat structure-of-arrays lanes (`conv_sum[p]`,
 //!   `reap_sum[p]`, …), the per-record hot path walks points in explicit
-//!   4-wide chunks (table gathers, dense memo probes and the three
-//!   scheme accumulations are all straight-line array arithmetic the
-//!   compiler can vectorize), and both the Eq. (3) conventional tail
-//!   *and* the Eq. (6) REAP term are memoized over the dense small-`N`
-//!   region, so the `exp_m1` transcendental runs once per distinct
-//!   `(point, ones, N)` key instead of once per record.
+//!   4-wide chunks (table gathers, memo probes and the three scheme
+//!   accumulations are all straight-line array arithmetic the compiler
+//!   can vectorize), and both the Eq. (3) conventional tail *and* the
+//!   Eq. (6) REAP term are memoized over the small-`N` region, so the
+//!   `exp_m1` transcendental runs once per distinct `(point, ones, N)`
+//!   key instead of once per record.
 //! * [`ScalarMultiReplayAggregator`] — the original points-inner scalar
 //!   kernel (PR 4), kept verbatim as the reference implementation. The
 //!   benchmark suite and the proptests pin the vectorized kernel
@@ -35,9 +35,9 @@
 //!   inside a single contiguous allocation; a parallel matrix caches
 //!   `ln(1 − u)` so the Eq. (6) REAP term needs one `exp_m1` per key
 //!   instead of `ln_1p` + `exp_m1`;
-//! * the conventional tail `fail_conventional(ones, N)` is memoized in a
-//!   dense `(point, ones, N)` table for `N ≤ 64` — the `N` distribution
-//!   is heavily concentrated at small values (most demand reads conceal
+//! * the conventional tail `fail_conventional(ones, N)` is memoized per
+//!   `(point, ones, N)` key for `N ≤ 64` — the `N` distribution is
+//!   heavily concentrated at small values (most demand reads conceal
 //!   nothing), so the binomial tail series runs once per distinct key
 //!   instead of once per record;
 //! * histogram bin membership and event counts depend only on the record
@@ -71,36 +71,16 @@ use crate::model::AccumulationModel;
 use crate::mttf::FailureAggregator;
 use crate::replay::{ExposureKind, ReplayAggregator};
 
-/// Largest `N` covered by the dense `fail_conventional`/`fail_reap`
-/// memos. Beyond this the terms are computed directly (still
-/// bit-identical — the memos only cache, never approximate).
+/// Largest `N` covered by the `fail_conventional`/`fail_reap` memo.
+/// Beyond this the terms are computed directly (still bit-identical —
+/// the memo only caches, never approximates).
 const MEMO_MAX_READS: u64 = 64;
+
+/// Number of `N` values per `ones` row of the memo's slot index.
+const MEMO_W: usize = MEMO_MAX_READS as usize + 1;
 
 /// Lane width of the explicit point-chunking in the vectorized kernel.
 const LANES: usize = 4;
-
-/// XOR mask for memo cells: a cell stores `bits(value) ^ MEMO_XOR`, so
-/// the zero cells a freshly zero-allocated memo starts with decode to a
-/// quiet NaN (the "not computed" sentinel). Zeroed allocation is backed
-/// by copy-on-write zero pages, so building the memos costs nothing
-/// until cells are actually probed — the kernel's fixed setup cost no
-/// longer scales with `points × stride` on short captures. A computed
-/// term whose bits happened to equal the mask would re-encode to zero
-/// and merely be recomputed on the next probe; terms are finite
-/// probabilities, never NaN, so that cannot occur.
-const MEMO_XOR: u64 = 0x7ff8_0000_0000_0000;
-
-/// Decodes a memo cell (NaN = not computed).
-#[inline(always)]
-fn memo_get(cell: u64) -> f64 {
-    f64::from_bits(cell ^ MEMO_XOR)
-}
-
-/// Encodes a computed term into its memo-cell representation.
-#[inline(always)]
-fn memo_put(value: f64) -> u64 {
-    value.to_bits() ^ MEMO_XOR
-}
 
 /// Number of log₂ histogram bins a `u64` read count can land in.
 const HIST_BINS: usize = 64;
@@ -192,21 +172,23 @@ pub struct MultiReplayAggregator {
     single: Vec<f64>,
     /// `ln(1 − single[..])` for the Eq. (6) closed form, same layout.
     ln1m_single: Vec<f64>,
-    /// Dense memo of `fail_conventional(ones, N)` and the Eq. (6) REAP
-    /// term for `N ∈ [0, MEMO_MAX_READS]`. The two are always probed
-    /// together for the same `(ones, N, p)` key, so they interleave in
-    /// one table: the conventional value at
-    /// `((ones * 65 + N) * points + p) * 2` and the REAP term right
-    /// after it — a 4-lane probe's eight loads then land in one
-    /// 64-byte line instead of two. Point-innermost for the same
-    /// gather locality as the stacked tables. Cells hold
-    /// `bits(value) ^ MEMO_XOR`, so the all-zero state a fresh zeroed
-    /// allocation starts in decodes to NaN — the "not yet computed"
-    /// sentinel — without a multi-megabyte fill pass, and untouched
-    /// pages are never committed. See [`memo_get`]/[`memo_put`].
-    /// Caching the (pure) terms keeps `exp_m1` off the per-record
-    /// path.
-    memo: Vec<u64>,
+    /// Slot index of the memo: `slot_of[ones * 65 + N]` is 0 until the
+    /// `(ones, N ≤ MEMO_MAX_READS)` key is first probed, then its slot
+    /// number + 1: `stride × 65` `u32`s, about 140 KiB at the paper's
+    /// line widths and cheap to zero.
+    slot_of: Vec<u32>,
+    /// Memo of `fail_conventional(ones, N)` and the Eq. (6) REAP term,
+    /// one `points × 2` slot per probed `(ones, N ≤ MEMO_MAX_READS)`
+    /// key, appended on first probe: point `p`'s conventional value at
+    /// `slot * points * 2 + p * 2` and its REAP term right after it. The
+    /// two are always probed together for the same key, so a 4-lane
+    /// probe's eight loads land in one 64-byte line. NaN marks "not yet
+    /// computed" (the terms are finite probabilities, never NaN). Memory
+    /// follows the keys a stream touches — `distinct keys × points × 2`
+    /// cells — not the dense `stride × 65 × points` key space, whose
+    /// zeroed allocation an allocator is free to commit in full.
+    /// Caching the (pure) terms keeps `exp_m1` off the per-record path.
+    memo: Vec<f64>,
     /// Per-point running sums — the lanes the hot loop writes.
     conv_sum: Vec<f64>,
     reap_sum: Vec<f64>,
@@ -230,6 +212,11 @@ pub struct MultiReplayAggregator {
 }
 
 impl MultiReplayAggregator {
+    /// Points per explicit vector-lane chunk. A batch split into
+    /// sub-batches at multiples of this keeps every sub-batch's lanes
+    /// as full as the whole batch's.
+    pub const LANES: usize = LANES;
+
     /// Creates a batched aggregator for the given `(model, max_ones)`
     /// analysis points in [`KernelMode::Exact`]. `max_ones` is the
     /// stored line width in bits for that point (data + check bits),
@@ -267,7 +254,6 @@ impl MultiReplayAggregator {
                 ln1m_single.push((-u).ln_1p());
             }
         }
-        let memo_cells = npts * stride * (MEMO_MAX_READS as usize + 1);
         let (models, widths) = points.into_iter().unzip();
         Self {
             models,
@@ -276,7 +262,8 @@ impl MultiReplayAggregator {
             stride,
             single,
             ln1m_single,
-            memo: vec![0; memo_cells * 2],
+            slot_of: vec![0; stride * MEMO_W],
+            memo: Vec::new(),
             conv_sum: vec![0.0; npts],
             reap_sum: vec![0.0; npts],
             serial_sum: vec![0.0; npts],
@@ -399,7 +386,6 @@ impl MultiReplayAggregator {
         self.demand_events += run.len() as u64;
 
         let stride = self.stride;
-        let memo_w = MEMO_MAX_READS as usize + 1;
         let npts = self.models.len();
 
         let mut p = 0;
@@ -429,20 +415,31 @@ impl MultiReplayAggregator {
                 }
                 let mut pc = [0.0f64; LANES];
                 let mut pr = [0.0f64; LANES];
-                // 4-wide dense memo probe. Sampled ones-counts are
-                // always within each point's width, so the
-                // all-lanes-in-range test only fails on out-of-contract
-                // callers (who still get the per-lane clamp semantics
-                // via the slow path).
+                // 4-wide memo probe. Sampled ones-counts are always
+                // within each point's width, so the all-lanes-in-range
+                // test only fails on out-of-contract callers (who still
+                // get the per-lane clamp semantics via the slow path).
                 let in_range = memoable && (0..LANES).all(|l| (row[p + l] as usize) < stride);
                 if in_range {
+                    // Points of one stored width share a sampled
+                    // ones-count, so the four lanes usually share a
+                    // slot: look it up once.
+                    let o = row[p];
+                    let mut base = [0usize; LANES];
+                    if row[p + 1..p + LANES].iter().all(|&x| x == o) {
+                        base = [self.memo_slot(o, n); LANES];
+                    } else {
+                        for l in 0..LANES {
+                            base[l] = self.memo_slot(row[p + l], n);
+                        }
+                    }
                     let mut mi = [0usize; LANES];
                     for l in 0..LANES {
-                        mi[l] = ((row[p + l] as usize * memo_w + n as usize) * npts + p + l) * 2;
+                        mi[l] = base[l] + (p + l) * 2;
                     }
                     for l in 0..LANES {
-                        pc[l] = memo_get(self.memo[mi[l]]);
-                        pr[l] = memo_get(self.memo[mi[l] + 1]);
+                        pc[l] = self.memo[mi[l]];
+                        pr[l] = self.memo[mi[l] + 1];
                     }
                     // Cached cells are finite probabilities and NaN
                     // marks "not computed", so one NaN-sum test covers
@@ -453,12 +450,12 @@ impl MultiReplayAggregator {
                         for l in 0..LANES {
                             if pc[l].is_nan() {
                                 let v = self.models[p + l].fail_conventional(row[p + l], n);
-                                self.memo[mi[l]] = memo_put(v);
+                                self.memo[mi[l]] = v;
                                 pc[l] = v;
                             }
                             if pr[l].is_nan() {
                                 let v = reap_term(u[l], self.ln1m_single[ti[l]], n, fast);
-                                self.memo[mi[l] + 1] = memo_put(v);
+                                self.memo[mi[l] + 1] = v;
                                 pr[l] = v;
                             }
                         }
@@ -518,16 +515,16 @@ impl MultiReplayAggregator {
         let npts = self.models.len();
         let l1m_at = (ones as usize).min(self.stride - 1) * npts + p;
         if n <= MEMO_MAX_READS && (ones as usize) < self.stride {
-            let mi = ((ones as usize * (MEMO_MAX_READS as usize + 1) + n as usize) * npts + p) * 2;
-            let mut pc = memo_get(self.memo[mi]);
+            let mi = self.memo_slot(ones, n) + p * 2;
+            let mut pc = self.memo[mi];
             if pc.is_nan() {
                 pc = self.models[p].fail_conventional(ones, n);
-                self.memo[mi] = memo_put(pc);
+                self.memo[mi] = pc;
             }
-            let mut pr = memo_get(self.memo[mi + 1]);
+            let mut pr = self.memo[mi + 1];
             if pr.is_nan() {
                 pr = reap_term(u, self.ln1m_single[l1m_at], n, fast);
-                self.memo[mi + 1] = memo_put(pr);
+                self.memo[mi + 1] = pr;
             }
             (pc, pr)
         } else {
@@ -589,23 +586,39 @@ impl MultiReplayAggregator {
     }
 
     /// `fail_conventional(ones, n_reads)` for point `p`, memoized over
-    /// the dense small-`N` region. The memo stores exact outputs of the
+    /// the small-`N` region. The memo stores exact outputs of the
     /// pure model function, so hits and misses are bit-identical.
     fn conventional_tail(&mut self, p: usize, ones: u32, n_reads: u64) -> f64 {
         if n_reads <= MEMO_MAX_READS && (ones as usize) < self.stride {
-            let idx = ((ones as usize * (MEMO_MAX_READS as usize + 1) + n_reads as usize)
-                * self.models.len()
-                + p)
-                * 2;
-            let cached = memo_get(self.memo[idx]);
+            let idx = self.memo_slot(ones, n_reads) + p * 2;
+            let cached = self.memo[idx];
             if !cached.is_nan() {
                 return cached;
             }
             let value = self.models[p].fail_conventional(ones, n_reads);
-            self.memo[idx] = memo_put(value);
+            self.memo[idx] = value;
             value
         } else {
             self.models[p].fail_conventional(ones, n_reads)
+        }
+    }
+
+    /// Offset of the memo slot of `(ones, n)` — point `p`'s cells are at
+    /// `+ p * 2` and `+ p * 2 + 1` — appending a fresh all-NaN slot on
+    /// the key's first probe. Callers guarantee `ones < stride` and
+    /// `n ≤ MEMO_MAX_READS`.
+    #[inline]
+    fn memo_slot(&mut self, ones: u32, n: u64) -> usize {
+        let width = self.models.len() * 2;
+        let key = ones as usize * MEMO_W + n as usize;
+        match self.slot_of[key] {
+            0 => {
+                let base = self.memo.len();
+                self.memo.resize(base + width, f64::NAN);
+                self.slot_of[key] = (base / width + 1) as u32;
+                base
+            }
+            slot => (slot as usize - 1) * width,
         }
     }
 }
@@ -666,7 +679,7 @@ impl ScalarMultiReplayAggregator {
                 ln1m_single.push((-u).ln_1p());
             }
         }
-        let conv_memo = vec![f64::NAN; points.len() * stride * (MEMO_MAX_READS as usize + 1)];
+        let conv_memo = vec![f64::NAN; points.len() * stride * MEMO_W];
         let points = points
             .into_iter()
             .map(|(model, max_ones)| PointState {
@@ -774,8 +787,7 @@ impl ScalarMultiReplayAggregator {
     /// the dense small-`N` region.
     fn conventional_tail(&mut self, p: usize, ones: u32, n_reads: u64) -> f64 {
         if n_reads <= MEMO_MAX_READS && (ones as usize) < self.stride {
-            let idx = (p * self.stride + ones as usize) * (MEMO_MAX_READS as usize + 1)
-                + n_reads as usize;
+            let idx = (p * self.stride + ones as usize) * MEMO_W + n_reads as usize;
             let cached = self.conv_memo[idx];
             if !cached.is_nan() {
                 return cached;
@@ -1058,6 +1070,55 @@ mod tests {
         let pts = seven_points();
         let records = vec![(ExposureKind::Demand, vec![10_000; 7], 5)];
         assert_matches_solo_at(pts, &records);
+    }
+
+    #[test]
+    fn lanes_sharing_a_weight_match_solo_bitwise() {
+        // Equal ones-counts across a lane chunk take the one-lookup slot
+        // path; chunks sharing a count only in part take per-lane
+        // lookups, and later fully shared probes of the same keys read
+        // what they stored. The 130-bit point keeps every count in range.
+        let records: Vec<_> = pseudo_records(&[130, 130], 1_200)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (kind, ones, n))| {
+                let (a, b) = (ones[0], ones[1]);
+                let row = if i % 2 == 0 {
+                    vec![a; 7]
+                } else {
+                    vec![a, a, b, b, a, b, b]
+                };
+                (kind, row, n)
+            })
+            .collect();
+        assert_matches_solo_at(seven_points(), &records);
+    }
+
+    #[test]
+    fn memo_holds_one_slot_per_touched_key() {
+        let pts = seven_points();
+        let widths: Vec<u32> = pts.iter().map(|&(_, w)| w).collect();
+        let records = pseudo_records(&widths, 3_000);
+        let mut keys = std::collections::HashSet::new();
+        for (_, ones, n) in &records {
+            if *n <= MEMO_MAX_READS {
+                keys.extend(ones.iter().map(|&o| (o, *n)));
+            }
+        }
+        assert!(keys.len() > 1, "the stream must touch several keys");
+        let mut multi = MultiReplayAggregator::new(pts.clone());
+        for (kind, ones, n) in &records {
+            multi.record(*kind, ones, *n);
+        }
+        assert_eq!(multi.memo.len(), keys.len() * pts.len() * 2);
+
+        // Records beyond the memoized region allocate no slot at all.
+        let mut large = MultiReplayAggregator::new(pts.clone());
+        for (kind, ones, n) in &records {
+            large.record(*kind, ones, n + MEMO_MAX_READS);
+        }
+        assert!(large.memo.is_empty());
+        assert!(large.slot_of.iter().all(|&slot| slot == 0));
     }
 
     #[test]
