@@ -1,7 +1,10 @@
 //! Performance benchmark for the persistent capture store.
 //!
-//! Runs the full per-workload ECC sweep twice per on-disk format
-//! (`reap-capture/1` and `/2`) against a fresh [`CaptureStore`] each:
+//! First runs the full per-workload ECC sweep once with no store at all
+//! (`CaptureSource::default()`, the `reap sweep` default): each trace
+//! pass feeds the batched kernel directly and nothing is materialized.
+//! Then runs the sweep twice per on-disk format (`reap-capture/1` and
+//! `/2`) against a fresh [`CaptureStore`] each:
 //!
 //! 1. **cold** — the store directory starts empty, so every workload pays
 //!    its trace pass and persists the capture, and
@@ -12,15 +15,18 @@
 //!
 //! Correctness gates: cold and warm must agree bit-for-bit within a
 //! format, the v1 and v2 cold sweeps must agree bit-for-bit with each
-//! other (the encoding must never leak into results), and every warm
-//! workload must register a `capture_store.hit`. Performance gates: each
+//! other and with the storeless sweep (neither the encoding nor the
+//! store may leak into results), and every warm workload must register
+//! a `capture_store.hit`. Performance gates: each
 //! warm pass must clear the speedup floor (2x at full budget, 1x in
 //! smoke mode — tiny captures leave little trace cost to amortise) and
 //! the v2 store directory must be at least 2x smaller than v1 (1.2x in
 //! smoke mode, where fixed headers dominate). The bench also reports the
-//! peak RSS of each warm pass — the bounded-memory streaming claim in
-//! numbers. Results land in `BENCH_capture.json` (override the path with
-//! the first argument).
+//! peak RSS of the storeless pass and of each warm pass — the
+//! bounded-memory claims of the fused and the streamed paths in numbers
+//! — and fails if the storeless peak exceeds twice the v2 warm one.
+//! Results land in `BENCH_capture.json` (override the path with the
+//! first argument).
 //!
 //! `--smoke` (or `REAP_BENCH_SMOKE=1`) shrinks the access budget for CI.
 
@@ -46,15 +52,14 @@ fn failure_bits(r: &Report) -> [u64; 4] {
 /// One workload's ECC-sweep reports, one per strength.
 type SweepReports = Vec<(Option<EccStrength>, Report)>;
 
-/// One store-backed ECC sweep over every workload, timed.
-fn sweep_all(accesses: u64, store: &CaptureStore) -> (f64, Vec<SweepReports>) {
-    let source = CaptureSource::new(None, Some(store.clone()));
+/// One ECC sweep over every workload through `source`, timed.
+fn sweep_all(accesses: u64, source: &CaptureSource) -> (f64, Vec<SweepReports>) {
     let t0 = Instant::now();
     let results = SpecWorkload::ALL
         .iter()
         .map(|&w| {
             run_job(
-                &source,
+                source,
                 w,
                 accesses,
                 reap_bench::DEFAULT_SEED,
@@ -92,6 +97,46 @@ struct FormatRun {
     results: Vec<SweepReports>,
 }
 
+/// The storeless sweep: wall time, peak RSS and reports.
+struct NoStoreRun {
+    cold_s: f64,
+    peak_rss: Option<u64>,
+    results: Vec<SweepReports>,
+}
+
+/// Runs the sweep with no store, its peak-RSS watermark scoped to it.
+fn run_nostore(accesses: u64) -> NoStoreRun {
+    let rss_scoped = reset_peak_rss();
+    let (cold_s, results) = sweep_all(accesses, &CaptureSource::default());
+    NoStoreRun {
+        cold_s,
+        peak_rss: if rss_scoped { peak_rss_bytes() } else { None },
+        results,
+    }
+}
+
+/// Asserts two sweeps' reports agree bit for bit.
+fn assert_same_bits(a: &[SweepReports], b: &[SweepReports], what: &str) {
+    for (&w, (a, b)) in SpecWorkload::ALL.iter().zip(a.iter().zip(b)) {
+        assert_eq!(a.len(), b.len());
+        for ((ecc_a, ra), (ecc_b, rb)) in a.iter().zip(b) {
+            assert_eq!(ecc_a, ecc_b);
+            assert_eq!(
+                failure_bits(ra),
+                failure_bits(rb),
+                "{what} ({} at {ecc_a:?})",
+                w.name()
+            );
+        }
+    }
+}
+
+fn fmt_rss(bytes: Option<u64>) -> String {
+    bytes.map_or("n/a".to_string(), |b| {
+        format!("{:.1} MiB", b as f64 / (1 << 20) as f64)
+    })
+}
+
 /// Runs the cold+warm sweep pair for one on-disk format in a fresh store
 /// directory, verifying warm ≡ cold bit-for-bit and full store service.
 fn run_format(accesses: u64, format: CaptureFormat) -> FormatRun {
@@ -101,33 +146,27 @@ fn run_format(accesses: u64, format: CaptureFormat) -> FormatRun {
     ));
     std::fs::remove_dir_all(&dir).ok();
     let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite).with_format(format);
+    let source = CaptureSource::new(None, Some(store));
 
     // Count the store traffic, so the bench can prove the warm pass was
     // actually served from disk rather than quietly recapturing. Reset
     // per format so the counters below cover exactly this pair.
     reap_bench::enable_telemetry();
 
-    let (cold_s, cold) = sweep_all(accesses, &store);
+    let (cold_s, cold) = sweep_all(accesses, &source);
     let bytes = store_bytes(&dir);
 
     // Scope the peak-RSS watermark to the warm pass: this is the memory
     // cost of replaying from disk, the number the streaming path bounds.
     let rss_scoped = reset_peak_rss();
-    let (warm_s, warm) = sweep_all(accesses, &store);
+    let (warm_s, warm) = sweep_all(accesses, &source);
     let warm_peak_rss = if rss_scoped { peak_rss_bytes() } else { None };
 
-    for (&w, (a, b)) in SpecWorkload::ALL.iter().zip(cold.iter().zip(&warm)) {
-        assert_eq!(a.len(), b.len());
-        for ((ecc_a, ra), (ecc_b, rb)) in a.iter().zip(b) {
-            assert_eq!(ecc_a, ecc_b);
-            assert_eq!(
-                failure_bits(ra),
-                failure_bits(rb),
-                "warm sweep diverged from cold ({format}, {} at {ecc_a:?})",
-                w.name()
-            );
-        }
-    }
+    assert_same_bits(
+        &cold,
+        &warm,
+        &format!("warm sweep diverged from cold ({format})"),
+    );
 
     let registry = reap_obs::global();
     let hits = registry.counter("capture_store.hit").get();
@@ -198,27 +237,30 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
 
+    // First, while the heap is fresh: its watermark is the whole cost of
+    // a storeless sweep.
+    let nostore = run_nostore(accesses);
     let v1 = run_format(accesses, CaptureFormat::V1);
     let v2 = run_format(accesses, CaptureFormat::V2);
 
-    // The serialization format must never leak into results: the v1 and
-    // v2 cold sweeps saw identical captures, so they must agree exactly.
-    for (&w, (a, b)) in workloads.iter().zip(v1.results.iter().zip(&v2.results)) {
-        assert_eq!(a.len(), b.len());
-        for ((ecc_a, ra), (ecc_b, rb)) in a.iter().zip(b) {
-            assert_eq!(ecc_a, ecc_b);
-            assert_eq!(
-                failure_bits(ra),
-                failure_bits(rb),
-                "v2 sweep diverged from v1 ({} at {ecc_a:?})",
-                w.name()
-            );
-        }
-    }
+    // Neither the serialization format nor the store may leak into
+    // results: every cold sweep saw identical trace passes, so they must
+    // agree exactly.
+    assert_same_bits(&v1.results, &v2.results, "v2 sweep diverged from v1");
+    assert_same_bits(
+        &nostore.results,
+        &v2.results,
+        "storeless sweep diverged from v2",
+    );
 
     let speedup_v1 = v1.cold_s / v1.warm_s;
     let speedup_v2 = v2.cold_s / v2.warm_s;
     let compression_ratio = v1.bytes as f64 / v2.bytes.max(1) as f64;
+    println!(
+        "no store: cold {:.3} s   peak RSS {}",
+        nostore.cold_s,
+        fmt_rss(nostore.peak_rss)
+    );
     for (label, run, speedup) in [("v1", &v1, speedup_v1), ("v2", &v2, speedup_v2)] {
         println!(
             "{label}: cold {:.3} s   warm {:.3} s   speedup {speedup:.2}x   \
@@ -226,19 +268,21 @@ fn main() {
             run.cold_s,
             run.warm_s,
             run.bytes,
-            run.warm_peak_rss.map_or("n/a".to_string(), |b| format!(
-                "{:.1} MiB",
-                b as f64 / (1 << 20) as f64
-            )),
+            fmt_rss(run.warm_peak_rss),
         );
     }
     println!("compression: v2 entries {compression_ratio:.2}x smaller than v1 (bit-identical)");
 
     let json = format!(
         "{{\n  \"accesses\": {accesses},\n  \"workloads\": {},\n  \"points\": {points},\n  \
+         \"cold_nostore_s\": {:.6},\n  \"cold_nostore_peak_rss_bytes\": {},\n  \
          \"v1\": {},\n  \"v2\": {},\n  \"compression_ratio\": {compression_ratio:.3},\n  \
          \"bit_identical\": true,\n  \"smoke\": {smoke}\n}}\n",
         workloads.len(),
+        nostore.cold_s,
+        nostore
+            .peak_rss
+            .map_or("null".to_string(), |b| b.to_string()),
         format_json(&v1),
         format_json(&v2),
     );
@@ -272,6 +316,19 @@ fn main() {
              (floor {size_floor:.1}x)"
         );
         failed = true;
+    }
+    // Both bounded paths hold O(frame) state, never O(events): a
+    // storeless sweep that materialized its captures would dwarf the
+    // streamed warm replay.
+    if let (Some(cold), Some(warm)) = (nostore.peak_rss, v2.warm_peak_rss) {
+        if cold > 2 * warm {
+            eprintln!(
+                "FAIL: storeless sweep peaked at {}, over twice the v2 warm replay's {}",
+                fmt_rss(Some(cold)),
+                fmt_rss(Some(warm))
+            );
+            failed = true;
+        }
     }
     if failed {
         std::process::exit(1);

@@ -90,10 +90,12 @@ fn ecc_sweep_metrics_out_is_schema_stable_jsonl() {
     }
     // Expected keys: phase spans, per-worker utilization, span-latency
     // histograms, the process self-sample, per-level cache counters and
-    // ECC decode counts.
+    // ECC decode counts. A storeless sweep scores each workload in one
+    // fused pass: its `capture` span is the whole job's trace and
+    // kernel work, and every one of the 21 jobs counts one fused pass.
     for key in [
         "\"path\":\"ecc_sweep.job/capture\"",
-        "\"path\":\"ecc_sweep.job/replay_batch\"",
+        "\"name\":\"sim.capture.fused\",\"value\":21",
         "\"name\":\"campaign\"",
         "\"sim.replay_batch.points\"",
         "\"name\":\"ecc_sweep\"",
@@ -112,6 +114,10 @@ fn ecc_sweep_metrics_out_is_schema_stable_jsonl() {
     ] {
         assert!(text.contains(key), "missing {key} in:\n{text}");
     }
+    assert!(
+        !text.contains("replay_batch\""),
+        "a storeless sweep materialized a capture:\n{text}"
+    );
 
     // The CLI's own validator agrees.
     let check = reap()

@@ -432,16 +432,33 @@ impl ExposureCapture {
     }
 }
 
+/// Where a [`CaptureObserver`] sends the records it keeps.
+///
+/// A `Vec<ExposureRecord>` materializes the stream (the default sink);
+/// a sink that scores each record as it arrives keeps memory bounded by
+/// the sink's own buffers instead of the event count.
+pub trait RecordSink {
+    /// Takes the next kept record, in simulation order.
+    fn push(&mut self, record: ExposureRecord);
+}
+
+impl RecordSink for Vec<ExposureRecord> {
+    fn push(&mut self, record: ExposureRecord) {
+        Vec::push(self, record);
+    }
+}
+
 /// The phase-1 observer: filters cache events down to the three
-/// [`ExposureKind`] classes and records them with their [`LineKey`]s.
+/// [`ExposureKind`] classes and hands them, with their [`LineKey`]s, to
+/// its [`RecordSink`] — by default a `Vec` that materializes the stream.
 ///
 /// The filtering mirrors what the scoring laws ignore — clean scrubs and
 /// clean or unexposed evictions contribute exactly `0.0` to every sum —
 /// so a replay of the recorded stream is bit-identical to a live
 /// observer that saw every event.
 #[derive(Debug, Default)]
-pub struct CaptureObserver {
-    records: Vec<ExposureRecord>,
+pub struct CaptureObserver<S = Vec<ExposureRecord>> {
+    sink: S,
 }
 
 impl CaptureObserver {
@@ -452,18 +469,30 @@ impl CaptureObserver {
 
     /// The events recorded so far, in simulation order.
     pub fn records(&self) -> &[ExposureRecord] {
-        &self.records
+        &self.sink
     }
 
     /// Consumes the recorder, yielding the event stream.
     pub fn into_records(self) -> Vec<ExposureRecord> {
-        self.records
+        self.sink
     }
 }
 
-impl AccessObserver for CaptureObserver {
+impl<S: RecordSink> CaptureObserver<S> {
+    /// An observer feeding the kept records to `sink`.
+    pub fn with_sink(sink: S) -> Self {
+        Self { sink }
+    }
+
+    /// Consumes the observer, yielding its sink.
+    pub fn into_sink(self) -> S {
+        self.sink
+    }
+}
+
+impl<S: RecordSink> AccessObserver for CaptureObserver<S> {
     fn demand_read(&mut self, key: LineKey, unchecked_reads: u64) {
-        self.records.push(ExposureRecord {
+        self.sink.push(ExposureRecord {
             kind: ExposureKind::Demand,
             key,
             unchecked_reads,
@@ -472,7 +501,7 @@ impl AccessObserver for CaptureObserver {
 
     fn eviction(&mut self, key: LineKey, dirty: bool, unchecked_reads: u64) {
         if dirty && unchecked_reads > 0 {
-            self.records.push(ExposureRecord {
+            self.sink.push(ExposureRecord {
                 kind: ExposureKind::DirtyEviction,
                 key,
                 unchecked_reads,
@@ -482,7 +511,7 @@ impl AccessObserver for CaptureObserver {
 
     fn scrub_check(&mut self, key: LineKey, dirty: bool, unchecked_reads: u64) {
         if dirty {
-            self.records.push(ExposureRecord {
+            self.sink.push(ExposureRecord {
                 kind: ExposureKind::DirtyScrub,
                 key,
                 unchecked_reads,

@@ -12,7 +12,11 @@
 //! 3. **trace**: a fresh capture pass, persisted to the store under a
 //!    [`CapturePolicy::ReadWrite`] policy.
 //!
-//! All three yield bit-identical reports. Keys are the capture store's
+//! A source with neither a hot layer nor a store keeps nothing, so a
+//! one-chunk replay skips the capture altogether: the trace pass feeds
+//! the batched kernel directly ([`Simulator::run_batch_mode`]).
+//!
+//! All paths yield bit-identical reports. Keys are the capture store's
 //! content fingerprint ([`CaptureKey::fingerprint`]), so the hot and
 //! disk layers agree about identity by construction.
 //!
@@ -88,6 +92,11 @@ impl CaptureSource {
     /// defect in any of them recaptures from the trace once (see the
     /// module docs).
     ///
+    /// When no layer keeps the capture — no hot layer, no store, and the
+    /// replay is a single chunk — the trace pass feeds the kernel
+    /// directly ([`Simulator::run_batch_mode`]) and nothing is
+    /// materialized. The reports are the same bits either way.
+    ///
     /// # Errors
     ///
     /// Returns [`ExperimentError`] when the experiment's configuration
@@ -100,6 +109,16 @@ impl CaptureSource {
         kernel: KernelMode,
         threads: usize,
     ) -> Result<Vec<Report>, ExperimentError> {
+        if self.hot.is_none()
+            && self.store.is_none()
+            && Simulator::batch_chunks(points, threads).len() == 1
+        {
+            let trace = experiment
+                .configured_workload()
+                .stream(experiment.configured_seed());
+            let tracer = Simulator::new(experiment.config().clone())?;
+            return Ok(tracer.run_batch_mode(points, trace, kernel)?);
+        }
         let key = CaptureKey::new(
             experiment.configured_workload(),
             experiment.configured_seed(),

@@ -67,7 +67,7 @@ pub use campaign::{
 };
 pub use capture::{
     CaptureObserver, ExposureCapture, ExposureEvents, ExposureRecord, ExposureStream,
-    HierarchySnapshot, StreamDefect, StreamOpener,
+    HierarchySnapshot, RecordSink, StreamDefect, StreamOpener,
 };
 pub use capture_source::{CaptureSource, HotCache, HotCaptureCache};
 pub use capture_store::{

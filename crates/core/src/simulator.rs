@@ -1,11 +1,15 @@
 //! End-to-end simulation: trace → hierarchy → reliability + energy.
 
-use crate::capture::{CaptureObserver, ExposureCapture, ExposureStream, HierarchySnapshot};
+use crate::capture::{
+    CaptureObserver, ExposureCapture, ExposureRecord, ExposureStream, HierarchySnapshot, RecordSink,
+};
 use crate::energy::EnergyModel;
 use crate::observer::ReliabilityObserver;
 use crate::readpath::ReadPathModel;
 use crate::report::Report;
-use reap_cache::{sample_ones, sample_ones_multi_batch, Hierarchy, HierarchyConfig, Replacement};
+use reap_cache::{
+    sample_ones, sample_ones_multi_batch, AccessObserver, Hierarchy, HierarchyConfig, Replacement,
+};
 use reap_ecc::{Bch, CodeError, DecoderCost, EccCode, HammingSec};
 use reap_mtj::{read_disturbance_probability, MtjParams};
 use reap_nvarray::{estimate, ArraySpec, MemTech, SpecError, TechnologyNode};
@@ -15,6 +19,7 @@ use reap_reliability::{
 };
 use reap_trace::MemoryAccess;
 use std::fmt;
+use std::slice::Chunks;
 
 /// Line-level ECC strength protecting the STT-MRAM L2.
 ///
@@ -262,12 +267,13 @@ impl Simulator {
     /// The trace must supply at least `warmup + measure` accesses;
     /// infinite generator streams always do.
     ///
-    /// Implemented as [`capture`](Self::capture) followed by
-    /// [`replay`](Self::replay) — bit-identical to the historical
-    /// single-pass evaluation (kept as
-    /// [`run_single_pass`](Self::run_single_pass) and cross-checked by
-    /// property tests), while making the expensive trace pass reusable
-    /// across analysis points.
+    /// The 1-point case of [`run_batch_mode`](Self::run_batch_mode): the
+    /// trace pass scores each exposure event as the L2 produces it, so
+    /// nothing is materialized. Bit-identical to
+    /// [`capture`](Self::capture) followed by [`replay`](Self::replay),
+    /// and to the historical single-pass evaluation (kept as
+    /// [`run_single_pass`](Self::run_single_pass)); both are
+    /// property-tested.
     ///
     /// # Errors
     ///
@@ -277,8 +283,80 @@ impl Simulator {
     where
         I: IntoIterator<Item = MemoryAccess>,
     {
-        let capture = self.capture(trace)?;
-        self.replay(&capture)
+        let mut reports =
+            self.run_batch_mode(std::slice::from_ref(self), trace, KernelMode::Exact)?;
+        Ok(reports.remove(0))
+    }
+
+    /// Fused capture and batched replay: drives `trace` through the
+    /// hierarchy once under this simulator's behavioural configuration
+    /// and feeds every exposure event, as the L2 produces it, straight
+    /// into one batched kernel over `points`. Returns one report per
+    /// point in input order.
+    ///
+    /// Bit-identical to [`capture`](Self::capture) followed by
+    /// [`replay_batch_mode`](Self::replay_batch_mode) with one thread
+    /// (property-tested), but no [`ExposureCapture`] is built: memory is
+    /// the hierarchy plus one feed block, whatever the trace length. Use
+    /// it when nothing needs to keep the capture.
+    ///
+    /// Telemetry matches a capture pass (the `capture` span counts the
+    /// accesses; `sim.capture.exposure_events` and the `cache.*`
+    /// counters are published once), plus `sim.replay_batch.points` and
+    /// one `sim.capture.fused` per call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimulationError::CaptureMismatch`] if any point's
+    /// behavioural configuration differs from this simulator's (checked
+    /// before the trace is touched), and
+    /// [`SimulationError::BadParameter`] if the trace ends before the
+    /// configured access budget.
+    pub fn run_batch_mode<I>(
+        &self,
+        points: &[Simulator],
+        trace: I,
+        mode: KernelMode,
+    ) -> Result<Vec<Report>, SimulationError>
+    where
+        I: IntoIterator<Item = MemoryAccess>,
+    {
+        let c = &self.config;
+        for sim in points {
+            sim.check_behaviour(
+                &c.hierarchy,
+                c.replacement,
+                c.warmup_accesses,
+                c.measure_accesses,
+                c.scrub_period,
+            )?;
+        }
+        if points.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut span = reap_obs::span("capture");
+        let line_bits = c.hierarchy.l2.line_bits();
+        let mut hierarchy = Hierarchy::new(c.hierarchy.clone(), c.replacement);
+        let mut multi =
+            MultiReplayAggregator::with_mode(Self::batch_kernel_points(points, line_bits), mode);
+        let feed = FeedBlock::new(
+            points,
+            line_bits,
+            hierarchy.l2().ones_seed(),
+            |records, ones| multi.record_block(records, ones),
+        );
+        let mut observer = CaptureObserver::with_sink(feed);
+        self.drive(&mut hierarchy, trace, &mut observer)?;
+        let events = observer.into_sink().finish();
+        let snapshot = self.publish_capture(&mut span, &hierarchy, events);
+        if span.is_recording() {
+            let registry = reap_obs::global();
+            registry
+                .counter("sim.replay_batch.points")
+                .add(points.len() as u64);
+            registry.counter("sim.capture.fused").inc();
+        }
+        Ok(Self::assemble_batch(points, &snapshot, multi.finish()))
     }
 
     /// Phase 1: drives `trace` through the hierarchy once, recording the
@@ -298,14 +376,43 @@ impl Simulator {
         I: IntoIterator<Item = MemoryAccess>,
     {
         let mut span = reap_obs::span("capture");
+        let mut hierarchy = Hierarchy::new(self.config.hierarchy.clone(), self.config.replacement);
+        let mut observer = CaptureObserver::new();
+        self.drive(&mut hierarchy, trace, &mut observer)?;
+        let records = observer.into_records();
+        let snapshot = self.publish_capture(&mut span, &hierarchy, records.len() as u64);
+        Ok(ExposureCapture::from_parts(
+            records,
+            snapshot,
+            self.config.hierarchy.l2.line_bits(),
+            hierarchy.l2().ones_seed(),
+            self.config.hierarchy.clone(),
+            self.config.replacement,
+            self.config.warmup_accesses,
+            self.config.measure_accesses,
+            self.config.scrub_period,
+        ))
+    }
+
+    /// Drives `trace` through `hierarchy` under this configuration's
+    /// budgets: the warm-up unobserved, then the measured window into
+    /// `observer`, scrubbing the L2 every `scrub_period` measured
+    /// accesses. The one trace loop behind [`capture`](Self::capture),
+    /// [`run_batch_mode`](Self::run_batch_mode) and
+    /// [`run_single_pass`](Self::run_single_pass).
+    fn drive<I, O>(
+        &self,
+        hierarchy: &mut Hierarchy,
+        trace: I,
+        observer: &mut O,
+    ) -> Result<(), SimulationError>
+    where
+        I: IntoIterator<Item = MemoryAccess>,
+        O: AccessObserver,
+    {
         let total_accesses = self.config.warmup_accesses + self.config.measure_accesses;
         let progress = reap_obs::progress_enabled()
             .then(|| reap_obs::Progress::new("capture", Some(total_accesses)));
-        let mut hierarchy = Hierarchy::new(self.config.hierarchy.clone(), self.config.replacement);
-        let line_bits = self.config.hierarchy.l2.line_bits();
-        let ones_seed = hierarchy.l2().ones_seed();
-        let mut observer = CaptureObserver::new();
-
         let mut iter = trace.into_iter();
         for _ in 0..self.config.warmup_accesses {
             let Some(a) = iter.next() else {
@@ -326,7 +433,7 @@ impl Simulator {
                     "trace shorter than access budget",
                 ));
             };
-            hierarchy.access(a, &mut observer);
+            hierarchy.access(a, observer);
             // Periodic scrubbing (behavioural, see `SimulationConfig`):
             // checks and exposure-resets every valid L2 line. No terminal
             // scrub — period 0 stays bit-identical to the historical
@@ -334,7 +441,7 @@ impl Simulator {
             if self.config.scrub_period > 0 {
                 since_scrub += 1;
                 if since_scrub >= self.config.scrub_period {
-                    hierarchy.l2_mut().scrub(&mut observer);
+                    hierarchy.l2_mut().scrub(observer);
                     since_scrub = 0;
                 }
             }
@@ -345,28 +452,26 @@ impl Simulator {
         if let Some(p) = &progress {
             p.finish();
         }
+        Ok(())
+    }
 
-        let records = observer.into_records();
-        let snapshot = HierarchySnapshot::of(&hierarchy);
-        span.add_events(total_accesses);
+    /// Closes a capture pass's telemetry — the `capture` span counts the
+    /// driven accesses, and the pass's `events` exposure events and cache
+    /// counters are published once — and returns the final counters.
+    fn publish_capture(
+        &self,
+        span: &mut reap_obs::SpanGuard<'_>,
+        hierarchy: &Hierarchy,
+        events: u64,
+    ) -> HierarchySnapshot {
+        let snapshot = HierarchySnapshot::of(hierarchy);
+        span.add_events(self.config.warmup_accesses + self.config.measure_accesses);
         if span.is_recording() {
             let registry = reap_obs::global();
-            registry
-                .counter("sim.capture.exposure_events")
-                .add(records.len() as u64);
+            registry.counter("sim.capture.exposure_events").add(events);
             snapshot.emit_metrics(registry);
         }
-        Ok(ExposureCapture::from_parts(
-            records,
-            snapshot,
-            line_bits,
-            ones_seed,
-            self.config.hierarchy.clone(),
-            self.config.replacement,
-            self.config.warmup_accesses,
-            self.config.measure_accesses,
-            self.config.scrub_period,
-        ))
+        snapshot
     }
 
     /// Phase 2: evaluates a captured exposure stream at this simulator's
@@ -429,22 +534,41 @@ impl Simulator {
     /// *behavioural* configuration (hierarchy, replacement, budgets) —
     /// the analysis point (ECC, MTJ, node, rate) is free to differ.
     fn check_capture(&self, capture: &ExposureCapture) -> Result<(), SimulationError> {
-        if *capture.hierarchy() != self.config.hierarchy {
+        self.check_behaviour(
+            capture.hierarchy(),
+            capture.replacement(),
+            capture.warmup_accesses(),
+            capture.measure_accesses(),
+            capture.scrub_period(),
+        )
+    }
+
+    /// Verifies that a trace pass under the given behavioural settings
+    /// produces the exposure stream this simulator's configuration would.
+    fn check_behaviour(
+        &self,
+        hierarchy: &HierarchyConfig,
+        replacement: Replacement,
+        warmup_accesses: u64,
+        measure_accesses: u64,
+        scrub_period: u64,
+    ) -> Result<(), SimulationError> {
+        if *hierarchy != self.config.hierarchy {
             return Err(SimulationError::CaptureMismatch(
                 "hierarchy geometry differs",
             ));
         }
-        if capture.replacement() != self.config.replacement {
+        if replacement != self.config.replacement {
             return Err(SimulationError::CaptureMismatch(
                 "replacement policy differs",
             ));
         }
-        if capture.warmup_accesses() != self.config.warmup_accesses
-            || capture.measure_accesses() != self.config.measure_accesses
+        if warmup_accesses != self.config.warmup_accesses
+            || measure_accesses != self.config.measure_accesses
         {
             return Err(SimulationError::CaptureMismatch("access budgets differ"));
         }
-        if capture.scrub_period() != self.config.scrub_period {
+        if scrub_period != self.config.scrub_period {
             return Err(SimulationError::CaptureMismatch("scrub period differs"));
         }
         Ok(())
@@ -506,9 +630,7 @@ impl Simulator {
         if points.is_empty() {
             return Ok(Vec::new());
         }
-        let lanes = MultiReplayAggregator::LANES;
-        let chunk_len = points.len().div_ceil(lanes).div_ceil(threads.max(1)) * lanes;
-        let chunks: Vec<&[Simulator]> = points.chunks(chunk_len).collect();
+        let chunks: Vec<&[Simulator]> = Self::batch_chunks(points, threads).collect();
         let mut span = reap_obs::span("replay_batch");
         span.add_events(capture.event_count());
         if span.is_recording() {
@@ -524,12 +646,16 @@ impl Simulator {
         let score = |chunk: &[Simulator]| {
             let mut span = reap_obs::span("replay_batch.chunk");
             span.add_events(capture.event_count());
-            let mut multi =
-                MultiReplayAggregator::with_mode(Self::batch_kernel_points(chunk, capture), mode);
+            let kernel_points = Self::batch_kernel_points(chunk, capture.line_bits());
+            let mut multi = MultiReplayAggregator::with_mode(kernel_points, mode);
             Self::feed_batch(chunk, capture, |records, ones| {
                 multi.record_block(records, ones);
             })?;
-            Ok(Self::assemble_batch(chunk, capture, multi.finish()))
+            Ok(Self::assemble_batch(
+                chunk,
+                capture.snapshot(),
+                multi.finish(),
+            ))
         };
         let (first, rest) = chunks.split_first().expect("points is non-empty");
         let scored: Vec<Result<Vec<Report>, SimulationError>> = std::thread::scope(|scope| {
@@ -578,115 +704,76 @@ impl Simulator {
         let mut span = reap_obs::span("replay_batch_scalar");
         span.add_events(capture.event_count());
 
-        let mut multi =
-            ScalarMultiReplayAggregator::new(Self::batch_kernel_points(points, capture));
+        let mut multi = ScalarMultiReplayAggregator::new(Self::batch_kernel_points(
+            points,
+            capture.line_bits(),
+        ));
         let npts = points.len();
         Self::feed_batch(points, capture, |records, ones| {
             for (r, &(kind, reads)) in records.iter().enumerate() {
                 multi.record(kind, &ones[r * npts..(r + 1) * npts], reads);
             }
         })?;
-        Ok(Self::assemble_batch(points, capture, multi.finish()))
+        Ok(Self::assemble_batch(
+            points,
+            capture.snapshot(),
+            multi.finish(),
+        ))
+    }
+
+    /// The contiguous chunks [`replay_batch_mode`](Self::replay_batch_mode)
+    /// splits `points` into for a `threads` budget (0 counts as 1):
+    /// boundaries on [`MultiReplayAggregator::LANES`] multiples, the last
+    /// chunk taking the remainder, no chunk at all for no points.
+    pub(crate) fn batch_chunks(points: &[Simulator], threads: usize) -> Chunks<'_, Simulator> {
+        let lanes = MultiReplayAggregator::LANES;
+        let chunk_len = points.len().div_ceil(lanes).div_ceil(threads.max(1)).max(1) * lanes;
+        points.chunks(chunk_len)
     }
 
     /// Per-point `(model, stored width)` pairs both batch kernels are
-    /// built from.
+    /// built from, for lines of `line_bits` data bits.
     fn batch_kernel_points(
         points: &[Simulator],
-        capture: &ExposureCapture,
+        line_bits: usize,
     ) -> Vec<(AccumulationModel, u32)> {
         points
             .iter()
             .map(|sim| {
                 (
                     AccumulationModel::new(sim.p_rd, sim.config.ecc.t()),
-                    (capture.line_bits() + sim.check_bits) as u32,
+                    (line_bits + sim.check_bits) as u32,
                 )
             })
             .collect()
     }
 
-    /// Streams the capture once in blocks of [`Self::FEED_BLOCK`]
-    /// records, resampling each record's weight once per *distinct*
-    /// stored width and scattering to the per-point slots the kernels
-    /// expect. Each block is handed to `record` as
-    /// `(records, ones)` — `records[r]` is `(kind, unchecked_reads)`
-    /// and `ones[r * points.len() ..]` its per-point weights, in
-    /// capture order.
-    ///
-    /// Blocking serves both halves of the pipeline: one record's hash
-    /// walk is a serial feedback chain, so `sample_ones_multi_batch`
-    /// steps four records' chains in lockstep to hide the latency, and
-    /// the vectorized kernel register-blocks its running sums across
-    /// each block. The block buffers are reused across the stream — no
-    /// per-record allocation.
+    /// Streams the capture once through a [`FeedBlock`], handing each
+    /// block of records and per-point weights to `record`.
     fn feed_batch<F>(
         points: &[Simulator],
         capture: &ExposureCapture,
-        mut record: F,
+        record: F,
     ) -> Result<(), SimulationError>
     where
         F: FnMut(&[(ExposureKind, u64)], &[u32]),
     {
-        let stored_bits: Vec<usize> = points
-            .iter()
-            .map(|sim| capture.line_bits() + sim.check_bits)
-            .collect();
-        let mut widths = stored_bits.clone();
-        widths.sort_unstable();
-        widths.dedup();
-        let width_index: Vec<usize> = stored_bits
-            .iter()
-            .map(|w| widths.binary_search(w).expect("width present"))
-            .collect();
-
-        let seed = capture.ones_seed();
-        let nw = widths.len();
-        let npts = points.len();
-        let mut keys: Vec<(u64, u64, u64)> = Vec::with_capacity(Self::FEED_BLOCK);
-        let mut kinds: Vec<(ExposureKind, u64)> = Vec::with_capacity(Self::FEED_BLOCK);
-        let mut ones_by_width = vec![0u32; Self::FEED_BLOCK * nw];
-        let mut ones_by_point = vec![0u32; Self::FEED_BLOCK * npts];
+        let mut feed = FeedBlock::new(points, capture.line_bits(), capture.ones_seed(), record);
         let mut events = capture.iter().map_err(SimulationError::CaptureStream)?;
-        loop {
-            keys.clear();
-            kinds.clear();
-            while keys.len() < Self::FEED_BLOCK {
-                match events
-                    .next_record()
-                    .map_err(SimulationError::CaptureStream)?
-                {
-                    Some(event) => {
-                        keys.push((event.key.tag, event.key.set, event.key.version));
-                        kinds.push((event.kind, event.unchecked_reads));
-                    }
-                    None => break,
-                }
-            }
-            if keys.is_empty() {
-                return Ok(());
-            }
-            // One shared-prefix hash walk covers every distinct width,
-            // four records' walks interleaved — bit-identical to a
-            // per-width `sample_ones` (property-tested in reap-cache)
-            // at a fraction of the per-record hashing latency.
-            sample_ones_multi_batch(seed, &keys, &widths, &mut ones_by_width[..keys.len() * nw]);
-            for row in 0..keys.len() {
-                for (i, &w) in width_index.iter().enumerate() {
-                    ones_by_point[row * npts + i] = ones_by_width[row * nw + w];
-                }
-            }
-            record(&kinds, &ones_by_point[..keys.len() * npts]);
+        while let Some(event) = events
+            .next_record()
+            .map_err(SimulationError::CaptureStream)?
+        {
+            feed.push(event);
         }
+        feed.finish();
+        Ok(())
     }
-
-    /// Records fed per sampler block by [`feed_batch`](Self::feed_batch).
-    const FEED_BLOCK: usize = 64;
 
     /// Zips finished aggregators back onto their points as [`Report`]s.
     fn assemble_batch(
         points: &[Simulator],
-        capture: &ExposureCapture,
+        snapshot: &HierarchySnapshot,
         aggregators: Vec<ReplayAggregator>,
     ) -> Vec<Report> {
         points
@@ -696,7 +783,7 @@ impl Simulator {
                 let duration_seconds =
                     sim.config.measure_accesses as f64 / sim.config.access_rate_hz;
                 Report::assemble(
-                    capture.snapshot(),
+                    snapshot,
                     &aggregator,
                     sim.energy_model,
                     sim.readpath_model,
@@ -728,35 +815,7 @@ impl Simulator {
         let stored_bits = hierarchy.l2().stored_line_bits() as u32;
         let model = AccumulationModel::new(self.p_rd, self.config.ecc.t());
         let mut observer = ReliabilityObserver::new(model, hierarchy.l2().ones_seed(), stored_bits);
-
-        let mut iter = trace.into_iter();
-        for _ in 0..self.config.warmup_accesses {
-            let Some(a) = iter.next() else {
-                return Err(SimulationError::BadParameter(
-                    "trace shorter than warm-up budget",
-                ));
-            };
-            hierarchy.access(a, &mut ());
-        }
-        hierarchy.l2_mut().reset_stats();
-        let mut since_scrub = 0u64;
-        for _ in 0..self.config.measure_accesses {
-            let Some(a) = iter.next() else {
-                return Err(SimulationError::BadParameter(
-                    "trace shorter than access budget",
-                ));
-            };
-            hierarchy.access(a, &mut observer);
-            // Mirror `capture`'s scrub cadence exactly: this is the
-            // reference the two-phase split is property-tested against.
-            if self.config.scrub_period > 0 {
-                since_scrub += 1;
-                if since_scrub >= self.config.scrub_period {
-                    hierarchy.l2_mut().scrub(&mut observer);
-                    since_scrub = 0;
-                }
-            }
-        }
+        self.drive(&mut hierarchy, trace, &mut observer)?;
 
         let duration_seconds = self.config.measure_accesses as f64 / self.config.access_rate_hz;
         let snapshot = HierarchySnapshot::of(&hierarchy);
@@ -772,6 +831,116 @@ impl Simulator {
             duration_seconds,
             self.p_rd,
         ))
+    }
+}
+
+/// Records per [`FeedBlock`] block.
+const FEED_BLOCK: usize = 64;
+
+/// The batched kernels' input stage: buffers exposure records in blocks
+/// of [`FEED_BLOCK`], resamples each record's weight once per *distinct*
+/// stored width among the points, and scatters the weights to the
+/// per-point slots the kernels expect. Each full block is handed to
+/// `score` as `(records, ones)` — `records[r]` is
+/// `(kind, unchecked_reads)` and `ones[r * points.len() ..]` its
+/// per-point weights, in arrival order.
+///
+/// A stored capture's records are pushed in from its stream
+/// ([`Simulator::replay_batch_mode`]); a fused pass's arrive live from
+/// the L2 through a [`CaptureObserver`] ([`Simulator::run_batch_mode`]).
+/// Either way the blocks are identical, so are the bits.
+///
+/// Blocking serves both halves of the pipeline: one record's hash walk
+/// is a serial feedback chain, so `sample_ones_multi_batch` steps four
+/// records' chains in lockstep to hide the latency, and the vectorized
+/// kernel register-blocks its running sums across each block. The block
+/// buffers are reused — no per-record allocation.
+struct FeedBlock<F> {
+    seed: u64,
+    /// Distinct stored widths, ascending.
+    widths: Vec<usize>,
+    /// Each point's index into `widths`.
+    width_index: Vec<usize>,
+    keys: Vec<(u64, u64, u64)>,
+    kinds: Vec<(ExposureKind, u64)>,
+    ones_by_width: Vec<u32>,
+    ones_by_point: Vec<u32>,
+    /// Records pushed so far.
+    events: u64,
+    score: F,
+}
+
+impl<F: FnMut(&[(ExposureKind, u64)], &[u32])> FeedBlock<F> {
+    /// A feeder for `points` over lines of `line_bits` data bits whose
+    /// weights hash from `seed`.
+    fn new(points: &[Simulator], line_bits: usize, seed: u64, score: F) -> Self {
+        let stored_bits: Vec<usize> = points
+            .iter()
+            .map(|sim| line_bits + sim.check_bits)
+            .collect();
+        let mut widths = stored_bits.clone();
+        widths.sort_unstable();
+        widths.dedup();
+        let width_index: Vec<usize> = stored_bits
+            .iter()
+            .map(|w| widths.binary_search(w).expect("width present"))
+            .collect();
+        Self {
+            seed,
+            keys: Vec::with_capacity(FEED_BLOCK),
+            kinds: Vec::with_capacity(FEED_BLOCK),
+            ones_by_width: vec![0; FEED_BLOCK * widths.len()],
+            ones_by_point: vec![0; FEED_BLOCK * points.len()],
+            widths,
+            width_index,
+            events: 0,
+            score,
+        }
+    }
+
+    /// Scores the buffered records, if any.
+    fn flush(&mut self) {
+        let n = self.keys.len();
+        if n == 0 {
+            return;
+        }
+        let (nw, npts) = (self.widths.len(), self.width_index.len());
+        // One shared-prefix hash walk covers every distinct width, four
+        // records' walks interleaved — bit-identical to a per-width
+        // `sample_ones` (property-tested in reap-cache) at a fraction of
+        // the per-record hashing latency.
+        sample_ones_multi_batch(
+            self.seed,
+            &self.keys,
+            &self.widths,
+            &mut self.ones_by_width[..n * nw],
+        );
+        for row in 0..n {
+            for (i, &w) in self.width_index.iter().enumerate() {
+                self.ones_by_point[row * npts + i] = self.ones_by_width[row * nw + w];
+            }
+        }
+        (self.score)(&self.kinds, &self.ones_by_point[..n * npts]);
+        self.keys.clear();
+        self.kinds.clear();
+    }
+
+    /// Scores the final partial block and returns the records pushed.
+    fn finish(mut self) -> u64 {
+        self.flush();
+        self.events
+    }
+}
+
+impl<F: FnMut(&[(ExposureKind, u64)], &[u32])> RecordSink for FeedBlock<F> {
+    fn push(&mut self, record: ExposureRecord) {
+        self.keys
+            .push((record.key.tag, record.key.set, record.key.version));
+        self.kinds.push((record.kind, record.unchecked_reads));
+        self.events += 1;
+        if self.keys.len() == FEED_BLOCK {
+            self.flush();
+        }
     }
 }
 

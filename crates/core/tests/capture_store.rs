@@ -469,3 +469,79 @@ fn store_write_failure_is_counted_and_the_job_still_scores() {
     assert_eq!(stored, cold);
     std::fs::remove_file(blocker).ok();
 }
+
+/// `source.replay` of `experiment` at six points on `threads` threads,
+/// inside a fresh root span: the report bits, and the paths of the spans
+/// the call recorded on this thread, relative to that root. Span stacks
+/// are per thread, so concurrent tests cannot leak into the list.
+fn traced_six_points(
+    source: &CaptureSource,
+    experiment: &Experiment,
+    threads: usize,
+) -> (Vec<[u64; 4]>, Vec<String>) {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    reap_obs::set_enabled(true);
+    let root = format!("route-probe-{}", NEXT.fetch_add(1, Ordering::Relaxed));
+    let bits = {
+        let _root = reap_obs::span(&root);
+        six_point_bits(source, experiment, threads)
+    };
+    let prefix = format!("{root}/");
+    let paths = reap_obs::global()
+        .snapshot()
+        .spans
+        .iter()
+        .filter_map(|s| s.path.strip_prefix(&prefix).map(str::to_owned))
+        .collect();
+    (bits, paths)
+}
+
+/// A storeless, single-chunk replay is one fused pass: a `capture` span
+/// and no `replay_batch`. Its rows equal a store-backed source's, and
+/// it leaves nothing on disk, while the store-backed one writes an entry.
+#[test]
+fn storeless_source_fuses_to_the_store_backed_bits_and_writes_nothing() {
+    let experiment = Experiment::paper_hierarchy()
+        .workload(SpecWorkload::Bzip2)
+        .budgets(500, 6_000)
+        .seed(21);
+    let dir = scratch("fused");
+    std::fs::create_dir_all(&dir).unwrap();
+    let entries = || std::fs::read_dir(&dir).unwrap().count();
+
+    let (fused, paths) = traced_six_points(&CaptureSource::default(), &experiment, 1);
+    assert_eq!(paths, ["capture"], "one fused trace pass");
+    assert_eq!(entries(), 0);
+
+    let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
+    let (stored, paths) = traced_six_points(&disk(&store), &experiment, 1);
+    assert!(paths.iter().any(|p| p == "replay_batch"), "{paths:?}");
+    assert_eq!(entries(), 1, "the store-backed source persists its capture");
+    assert_eq!(fused, stored);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A hot layer keeps the capture, and a replay split into 2+ chunks
+/// streams it once per chunk: both still materialize, to the same bits.
+#[test]
+fn hot_layer_and_multi_chunk_replays_still_materialize() {
+    let experiment = Experiment::paper_hierarchy()
+        .workload(SpecWorkload::Astar)
+        .budgets(500, 6_000)
+        .seed(9);
+    let (fused, paths) = traced_six_points(&CaptureSource::default(), &experiment, 1);
+    assert!(!paths.iter().any(|p| p == "replay_batch"), "{paths:?}");
+
+    let hot = Arc::new(HotCaptureCache::new(2));
+    let cached = CaptureSource::new(Some(Arc::clone(&hot)), None);
+    let (bits, paths) = traced_six_points(&cached, &experiment, 1);
+    assert!(paths.iter().any(|p| p == "replay_batch"), "{paths:?}");
+    assert_eq!(hot.len(), 1, "the hot layer holds the capture");
+    assert_eq!(bits, fused);
+
+    // Six points on two threads: a 4-lane chunk plus a remainder.
+    let (bits, paths) = traced_six_points(&CaptureSource::default(), &experiment, 2);
+    assert!(paths.iter().any(|p| p == "capture"), "{paths:?}");
+    assert!(paths.iter().any(|p| p == "replay_batch"), "{paths:?}");
+    assert_eq!(bits, fused);
+}

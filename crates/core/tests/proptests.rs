@@ -2,12 +2,15 @@
 //! for arbitrary event streams, not just the built-in workloads.
 
 use proptest::prelude::*;
-use reap_cache::Replacement;
+use reap_cache::{AccessMode, CacheConfig, HierarchyConfig, Replacement};
 use reap_core::analysis::NumericExample;
 use reap_core::campaign::{run_sweep_campaign, CampaignConfig, CampaignError, SweepMode};
 use reap_core::checkpoint::{self, CheckpointMeta, CheckpointWriter, SweepRow};
+use reap_core::simulator::SimulationError;
 use reap_core::supervise::{pool_map_supervised, SupervisorConfig};
-use reap_core::{EccStrength, Experiment, ProtectionScheme, ReliabilityObserver, Simulator};
+use reap_core::{
+    EccStrength, Experiment, ProtectionScheme, ReliabilityObserver, Report, Simulator,
+};
 use reap_fault::FaultPlan;
 use reap_reliability::{
     AccumulationModel, ExposureKind, KernelMode, MultiReplayAggregator, ScalarMultiReplayAggregator,
@@ -117,6 +120,44 @@ fn campaign_bits(outcome: &reap_core::CampaignOutcome) -> Vec<u64> {
                 })
         })
         .collect()
+}
+
+/// Every observable of a report: scheme failure sums, energies and
+/// access times, and writeback exposure as raw bits, plus the full
+/// `Debug` rendering (histogram, hierarchy snapshot, models — f64
+/// `Debug` round-trips, so equal text means equal bits).
+fn report_signature(r: &Report) -> (Vec<u64>, String) {
+    let mut bits = Vec::new();
+    for scheme in ProtectionScheme::ALL {
+        let e = r.energy(scheme);
+        bits.extend(
+            [
+                r.expected_failures(scheme),
+                e.tag,
+                e.data_read,
+                e.data_write,
+                e.ecc,
+                r.access_time(scheme),
+            ]
+            .map(f64::to_bits),
+        );
+    }
+    bits.push(r.writeback_exposure().to_bits());
+    (bits, format!("{r:?}"))
+}
+
+/// Table I with an L2 of `ways` ways read in `mode`.
+fn l2_geometry(ways: usize, mode: AccessMode) -> HierarchyConfig {
+    let mut hierarchy = HierarchyConfig::paper_with_l2_ways(ways).expect("valid ways");
+    hierarchy.l2 = CacheConfig::builder()
+        .name("L2")
+        .size_bytes(hierarchy.l2.size_bytes())
+        .associativity(ways)
+        .block_bytes(hierarchy.l2.block_bytes())
+        .access_mode(mode)
+        .build()
+        .expect("valid L2");
+    hierarchy
 }
 
 proptest! {
@@ -273,6 +314,71 @@ proptest! {
                 want.writeback_exposure().to_bits()
             );
             prop_assert_eq!(got.histogram(), want.histogram());
+        }
+    }
+
+    /// The fused pass is a pure memory optimisation: driving the trace
+    /// straight into the batched kernel ([`Simulator::run_batch_mode`])
+    /// returns exactly the reports of capturing first and replaying the
+    /// capture on one thread — every scheme sum, energy, access time,
+    /// histogram bin and snapshot counter — across profiles, seeds, L2
+    /// associativities and access modes, scrub periods, all six
+    /// replacement policies, both kernel modes and 1–9 points mixing
+    /// ECC strengths and read currents.
+    #[test]
+    fn fused_pass_is_bit_identical_to_capture_then_replay(
+        trace in (0usize..21, any::<u64>()),
+        geometry in (
+            prop_oneof![Just(4usize), Just(8usize), Just(16usize)],
+            prop_oneof![Just(0u64), 300u64..1_500],
+            any::<bool>(),
+        ),
+        replacement in prop_oneof![
+            Just(Replacement::Lru),
+            Just(Replacement::TreePlru),
+            Just(Replacement::Fifo),
+            any::<u64>().prop_map(Replacement::Random),
+            Just(Replacement::Srrip),
+            Just(Replacement::LeastErrorRate),
+        ],
+        num_points in 1usize..=9,
+        point_seed in any::<u64>(),
+        fast in any::<bool>(),
+    ) {
+        let (workload_index, seed) = trace;
+        let (ways, scrub, serial) = geometry;
+        let mode = if serial { AccessMode::Serial } else { AccessMode::Parallel };
+        let workload = SpecWorkload::ALL[workload_index];
+        let base = Experiment::paper_hierarchy()
+            .workload(workload)
+            .hierarchy(l2_geometry(ways, mode))
+            .replacement(replacement)
+            .scrub(scrub)
+            .budgets(500, 4_000)
+            .seed(seed);
+        let mtj = reap_mtj::MtjParams::default();
+        let points: Vec<Simulator> = (0..num_points as u64)
+            .map(|i| {
+                let ecc = EccStrength::ALL[(mix(point_seed, i) % 3) as usize];
+                let scale = 0.7 + (mix(point_seed ^ 0x5ca1e, i) % 31) as f64 * 0.01;
+                let card = mtj
+                    .with_read_current(scale * mtj.read_current())
+                    .expect("valid read current");
+                Simulator::new(base.clone().ecc(ecc).mtj(card).config().clone())
+                    .expect("simulator")
+            })
+            .collect();
+        let kernel = if fast { KernelMode::FastMath } else { KernelMode::Exact };
+        let tracer = Simulator::new(base.config().clone()).expect("simulator");
+        let fused = tracer
+            .run_batch_mode(&points, workload.stream(seed), kernel)
+            .expect("fused pass");
+        let capture = tracer.capture(workload.stream(seed)).expect("capture");
+        let replayed =
+            Simulator::replay_batch_mode(&points, &capture, kernel, 1).expect("replay");
+        prop_assert_eq!(fused.len(), num_points);
+        for (got, want) in fused.iter().zip(&replayed) {
+            prop_assert_eq!(report_signature(got), report_signature(want));
         }
     }
 
@@ -604,4 +710,45 @@ proptest! {
         let e2 = NumericExample::with_parameters(1e-8, n_ones, n_reads * 2);
         prop_assert!(e2.p_err_accumulated >= e.p_err_accumulated);
     }
+}
+
+/// A fused pass drives one trace for every point, so each point must
+/// share the tracing simulator's behavioural configuration; any other point is
+/// rejected before the trace is touched, as a stored capture would be.
+#[test]
+fn fused_pass_rejects_a_point_with_another_behaviour() {
+    let base = Experiment::paper_hierarchy()
+        .workload(SpecWorkload::Gcc)
+        .budgets(500, 4_000)
+        .seed(3);
+    let tracer = Simulator::new(base.config().clone()).unwrap();
+    let others = [
+        base.clone().replacement(Replacement::Fifo),
+        base.clone().scrub(1_000),
+        base.clone().budgets(500, 3_000),
+        base.clone().hierarchy(l2_geometry(8, AccessMode::Serial)),
+    ];
+    for other in others {
+        let points = [
+            Simulator::new(base.clone().ecc(EccStrength::Dec).config().clone()).unwrap(),
+            Simulator::new(other.config().clone()).unwrap(),
+        ];
+        // An empty trace: the check must fail before any access is read.
+        let err = tracer
+            .run_batch_mode(&points, std::iter::empty(), KernelMode::Exact)
+            .unwrap_err();
+        assert!(
+            matches!(err, SimulationError::CaptureMismatch(_)),
+            "{other:?}: {err}"
+        );
+    }
+    // Analysis-side differences are what a batch is for.
+    let fine = [Simulator::new(base.clone().ecc(EccStrength::Tec).config().clone()).unwrap()];
+    assert_eq!(
+        tracer
+            .run_batch_mode(&fine, SpecWorkload::Gcc.stream(3), KernelMode::Exact)
+            .unwrap()
+            .len(),
+        1
+    );
 }

@@ -58,6 +58,10 @@ fn is_capture_counter(name: &str) -> bool {
 /// so the stable `--no-timings` mode leaves both out, like worker counts.
 const REPLAY_CHUNKS: &str = "sim.replay_batch.chunks";
 const CHUNK_SPAN: &str = "replay_batch.chunk";
+/// Fused passes: trace passes that fed the batched kernel directly
+/// instead of materializing a capture. Whether a replay fuses also
+/// follows the replay's chunk count, so it shares the chunks' treatment.
+const FUSED_PASSES: &str = "sim.capture.fused";
 
 fn fmt_bytes(bytes: u64) -> String {
     let b = bytes as f64;
@@ -227,13 +231,17 @@ pub fn render_report(snapshot: &Snapshot, options: &ReportOptions) -> String {
             .map(|(_, v)| *v)
     };
     // Chunk threads run beside the pool workers, outside their busy
-    // counters: this line is where a replay's parallelism shows.
-    if let Some(chunks) = counter(REPLAY_CHUNKS).filter(|_| options.timings) {
+    // counters: this line is where a replay's parallelism shows, and
+    // how many batches skipped the replay by scoring in the trace pass.
+    let (chunks, fused) = (counter(REPLAY_CHUNKS), counter(FUSED_PASSES));
+    if options.timings && (chunks.is_some() || fused.is_some()) {
+        let chunks = chunks.unwrap_or(0);
         let replays = spans.get("replay_batch").map_or(0, |agg| agg.count);
         let mut line = format!("batched replay: replays {replays}   chunks {chunks}");
         if replays > 0 {
             let _ = write!(line, "   parallelism {:.2}", chunks as f64 / replays as f64);
         }
+        let _ = write!(line, "   fused {}", fused.unwrap_or(0));
         let _ = writeln!(out, "{line}");
         let _ = writeln!(out);
     }
@@ -312,6 +320,7 @@ pub fn render_report(snapshot: &Snapshot, options: &ReportOptions) -> String {
                 && !is_capture_counter(n)
                 && !n.starts_with("serve.")
                 && n != REPLAY_CHUNKS
+                && n != FUSED_PASSES
         })
         .collect();
     if !other_counters.is_empty() {
@@ -688,6 +697,36 @@ mod tests {
         assert!(!stable.contains("batched replay:"), "{stable}");
         assert!(!stable.contains("chunk"), "{stable}");
         assert!(stable.contains("replay_batch"), "{stable}");
+        assert!(stable.contains("sim.replay_batch.points"), "{stable}");
+    }
+
+    #[test]
+    fn fused_passes_show_on_the_batched_replay_line() {
+        let r = Registry::new();
+        for _ in 0..21 {
+            drop(r.span("capture"));
+        }
+        r.counter(FUSED_PASSES).add(21);
+        r.counter("sim.replay_batch.points").add(63);
+        let text = render_report(&r.snapshot(), &ReportOptions::default());
+        assert!(
+            text.contains("batched replay: replays 0   chunks 0   fused 21"),
+            "{text}"
+        );
+        assert!(!text.contains(FUSED_PASSES), "{text}");
+
+        // Mixed: materialized replays beside fused passes.
+        r.counter(REPLAY_CHUNKS).add(3);
+        drop(r.span("replay_batch"));
+        let text = render_report(&r.snapshot(), &ReportOptions::default());
+        assert!(
+            text.contains("batched replay: replays 1   chunks 3   parallelism 3.00   fused 21"),
+            "{text}"
+        );
+
+        let stable = render_report(&r.snapshot(), &ReportOptions { timings: false });
+        assert!(!stable.contains("batched replay:"), "{stable}");
+        assert!(!stable.contains(FUSED_PASSES), "{stable}");
         assert!(stable.contains("sim.replay_batch.points"), "{stable}");
     }
 
