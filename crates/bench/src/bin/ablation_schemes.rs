@@ -49,9 +49,10 @@ fn main() {
         println!();
     }
     println!(
-        "Reading: serial access matches REAP's reliability but pays the full \
-         serialized latency on every read; restore matches it while multiplying \
-         write energy and wear. REAP alone keeps the fast parallel path."
+        "Reading: serial access beats REAP's reliability (it disturbs only the \
+         requested way) but pays the full serialized latency on every read; restore \
+         matches serial while multiplying write energy and wear. REAP alone keeps \
+         the fast parallel path."
     );
     print_csv("workload,scheme,mttf_gain,energy_pct,access_time_ns", &rows);
 }

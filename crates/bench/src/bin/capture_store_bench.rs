@@ -3,38 +3,36 @@
 //! First runs the full per-workload ECC sweep once with no store at all
 //! (`CaptureSource::default()`, the `reap sweep` default): each trace
 //! pass feeds the batched kernel directly and nothing is materialized.
-//! Then runs the sweep twice per on-disk format (`reap-capture/1` and
-//! `/2`) against a fresh [`CaptureStore`] each:
+//! Then runs the sweep twice against a fresh [`CaptureStore`]:
 //!
 //! 1. **cold** — the store directory starts empty, so every workload pays
 //!    its trace pass and persists the capture, and
 //! 2. **warm** — the same sweep again, now served entirely from disk: the
 //!    trace pass is skipped and only the replay kernel runs, streamed
-//!    straight out of the decoder's reusable buffers (frame-by-frame for
-//!    v2, block-by-block for v1) without materializing the event vector.
+//!    straight out of the decoder's reusable frame buffer without
+//!    materializing the event vector.
 //!
-//! Correctness gates: cold and warm must agree bit-for-bit within a
-//! format, the v1 and v2 cold sweeps must agree bit-for-bit with each
-//! other and with the storeless sweep (neither the encoding nor the
-//! store may leak into results), and every warm workload must register
-//! a `capture_store.hit`. Performance gates: each
-//! warm pass must clear the speedup floor (2x at full budget, 1x in
-//! smoke mode — tiny captures leave little trace cost to amortise) and
-//! the v2 store directory must be at least 2x smaller than v1 (1.2x in
-//! smoke mode, where fixed headers dominate). The bench also reports the
-//! peak RSS of the storeless pass and of each warm pass — the
-//! bounded-memory claims of the fused and the streamed paths in numbers
-//! — and fails if the storeless peak exceeds twice the v2 warm one.
-//! Results land in `BENCH_capture.json` (override the path with the
+//! Correctness gates: cold and warm must agree bit-for-bit, the cold
+//! sweep must agree bit-for-bit with the storeless sweep (the store may
+//! not leak into results), and every warm workload must register a
+//! `capture_store.hit`. Performance gates: the warm pass must clear the
+//! speedup floor (2x at full budget, 1x in smoke mode — tiny captures
+//! leave little trace cost to amortise) and the store directory must be
+//! at least 2x smaller than the same captures in fixed-width records
+//! (the sum of `v1_equivalent_bytes` over the entries, which the store
+//! counts as `capture_store.fixed_width_bytes`; 1.2x in smoke
+//! mode, where fixed headers dominate). The bench also reports the peak
+//! RSS of the storeless pass and of the warm pass — the bounded-memory
+//! claims of the fused and the streamed paths in numbers — and fails if
+//! the storeless peak exceeds twice the warm one. Results, with their
+//! provenance, land in `BENCH_capture.json` (override the path with the
 //! first argument).
 //!
 //! `--smoke` (or `REAP_BENCH_SMOKE=1`) shrinks the access budget for CI.
 
 use reap_bench::{access_budget, peak_rss_bytes, reset_peak_rss};
-use reap_core::capture_store::{CaptureFormat, CapturePolicy, CaptureStore};
-use reap_core::{
-    run_job, CaptureSource, EccStrength, KernelMode, ProtectionScheme, Report, SweepMode,
-};
+use reap_core::capture_store::{CapturePolicy, CaptureStore};
+use reap_core::{run_job, CaptureSource, EccStrength, ProtectionScheme, Report, SweepMode};
 use reap_trace::SpecWorkload;
 use std::time::Instant;
 
@@ -64,7 +62,6 @@ fn sweep_all(accesses: u64, source: &CaptureSource) -> (f64, Vec<SweepReports>) 
                 accesses,
                 reap_bench::DEFAULT_SEED,
                 SweepMode::EccSweep,
-                KernelMode::Exact,
             )
             .expect("sweep")
         })
@@ -85,12 +82,14 @@ fn store_bytes(dir: &std::path::Path) -> u64 {
         .unwrap_or(0)
 }
 
-/// Everything one format's cold/warm pair produces.
-struct FormatRun {
+/// Everything the store's cold/warm pair produces.
+struct StoreRun {
     cold_s: f64,
     warm_s: f64,
     hits: u64,
     bytes: u64,
+    /// What the same entries would occupy in fixed-width records.
+    fixed_width_bytes: u64,
     bytes_written: u64,
     bytes_read: u64,
     warm_peak_rss: Option<u64>,
@@ -137,24 +136,25 @@ fn fmt_rss(bytes: Option<u64>) -> String {
     })
 }
 
-/// Runs the cold+warm sweep pair for one on-disk format in a fresh store
-/// directory, verifying warm ≡ cold bit-for-bit and full store service.
-fn run_format(accesses: u64, format: CaptureFormat) -> FormatRun {
-    let dir = std::env::temp_dir().join(format!(
-        "reap-capture-bench-{}-{format}",
-        std::process::id()
-    ));
+/// Runs the cold+warm sweep pair in a fresh store directory, verifying
+/// warm ≡ cold bit-for-bit and full store service.
+fn run_store(accesses: u64) -> StoreRun {
+    let dir = std::env::temp_dir().join(format!("reap-capture-bench-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite).with_format(format);
+    let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
     let source = CaptureSource::new(None, Some(store));
 
     // Count the store traffic, so the bench can prove the warm pass was
-    // actually served from disk rather than quietly recapturing. Reset
-    // per format so the counters below cover exactly this pair.
+    // actually served from disk rather than quietly recapturing.
     reap_bench::enable_telemetry();
 
     let (cold_s, cold) = sweep_all(accesses, &source);
     let bytes = store_bytes(&dir);
+    // The cold pass wrote each entry once: the store summed
+    // `v1_equivalent_bytes` over them.
+    let fixed_width_bytes = reap_obs::global()
+        .counter("capture_store.fixed_width_bytes")
+        .get();
 
     // Scope the peak-RSS watermark to the warm pass: this is the memory
     // cost of replaying from disk, the number the streaming path bounds.
@@ -162,33 +162,30 @@ fn run_format(accesses: u64, format: CaptureFormat) -> FormatRun {
     let (warm_s, warm) = sweep_all(accesses, &source);
     let warm_peak_rss = if rss_scoped { peak_rss_bytes() } else { None };
 
-    assert_same_bits(
-        &cold,
-        &warm,
-        &format!("warm sweep diverged from cold ({format})"),
-    );
+    assert_same_bits(&cold, &warm, "warm sweep diverged from cold");
 
     let registry = reap_obs::global();
     let hits = registry.counter("capture_store.hit").get();
     assert_eq!(
         hits,
         SpecWorkload::ALL.len() as u64,
-        "every warm workload must be served from the store ({format})"
+        "every warm workload must be served from the store"
     );
     let bytes_written = registry.counter("capture_store.bytes_written").get();
     let bytes_read = registry.counter("capture_store.bytes_read").get();
     assert!(
         bytes_written >= bytes && bytes_read >= bytes,
-        "store I/O counters must cover the on-disk entries ({format}: \
-         wrote {bytes_written}, read {bytes_read}, on disk {bytes})"
+        "store I/O counters must cover the on-disk entries \
+         (wrote {bytes_written}, read {bytes_read}, on disk {bytes})"
     );
 
     std::fs::remove_dir_all(&dir).ok();
-    FormatRun {
+    StoreRun {
         cold_s,
         warm_s,
         hits,
         bytes,
+        fixed_width_bytes,
         bytes_written,
         bytes_read,
         warm_peak_rss,
@@ -196,7 +193,7 @@ fn run_format(accesses: u64, format: CaptureFormat) -> FormatRun {
     }
 }
 
-fn format_json(run: &FormatRun) -> String {
+fn store_json(run: &StoreRun) -> String {
     let speedup = run.cold_s / run.warm_s;
     format!(
         "{{\n    \"cold_s\": {:.6},\n    \"warm_s\": {:.6},\n    \"speedup\": {speedup:.3},\n    \
@@ -231,8 +228,7 @@ fn main() {
     let workloads = SpecWorkload::ALL;
     let points = EccStrength::ALL.len();
     println!(
-        "capture store benchmark — {} workloads x {points} ECC points, {accesses} accesses each, \
-         formats v1+v2{}",
+        "capture store benchmark — {} workloads x {points} ECC points, {accesses} accesses each{}",
         workloads.len(),
         if smoke { " (smoke)" } else { "" }
     );
@@ -240,57 +236,57 @@ fn main() {
     // First, while the heap is fresh: its watermark is the whole cost of
     // a storeless sweep.
     let nostore = run_nostore(accesses);
-    let v1 = run_format(accesses, CaptureFormat::V1);
-    let v2 = run_format(accesses, CaptureFormat::V2);
+    let v2 = run_store(accesses);
 
-    // Neither the serialization format nor the store may leak into
-    // results: every cold sweep saw identical trace passes, so they must
-    // agree exactly.
-    assert_same_bits(&v1.results, &v2.results, "v2 sweep diverged from v1");
+    // The store may not leak into results: the cold sweep saw the same
+    // trace passes as the storeless one, so they must agree exactly.
     assert_same_bits(
         &nostore.results,
         &v2.results,
-        "storeless sweep diverged from v2",
+        "storeless sweep diverged from the store-backed one",
     );
 
-    let speedup_v1 = v1.cold_s / v1.warm_s;
-    let speedup_v2 = v2.cold_s / v2.warm_s;
-    let compression_ratio = v1.bytes as f64 / v2.bytes.max(1) as f64;
+    let speedup = v2.cold_s / v2.warm_s;
+    let compression_ratio = v2.fixed_width_bytes as f64 / v2.bytes.max(1) as f64;
     println!(
         "no store: cold {:.3} s   peak RSS {}",
         nostore.cold_s,
         fmt_rss(nostore.peak_rss)
     );
-    for (label, run, speedup) in [("v1", &v1, speedup_v1), ("v2", &v2, speedup_v2)] {
-        println!(
-            "{label}: cold {:.3} s   warm {:.3} s   speedup {speedup:.2}x   \
-             {} B on disk   warm peak RSS {}",
-            run.cold_s,
-            run.warm_s,
-            run.bytes,
-            fmt_rss(run.warm_peak_rss),
-        );
-    }
-    println!("compression: v2 entries {compression_ratio:.2}x smaller than v1 (bit-identical)");
+    println!(
+        "v2: cold {:.3} s   warm {:.3} s   speedup {speedup:.2}x   \
+         {} B on disk   warm peak RSS {}",
+        v2.cold_s,
+        v2.warm_s,
+        v2.bytes,
+        fmt_rss(v2.warm_peak_rss),
+    );
+    println!(
+        "compression: entries {compression_ratio:.2}x smaller than fixed-width records \
+         ({} B, bit-identical)",
+        v2.fixed_width_bytes
+    );
 
     let json = format!(
         "{{\n  \"accesses\": {accesses},\n  \"workloads\": {},\n  \"points\": {points},\n  \
          \"cold_nostore_s\": {:.6},\n  \"cold_nostore_peak_rss_bytes\": {},\n  \
-         \"v1\": {},\n  \"v2\": {},\n  \"compression_ratio\": {compression_ratio:.3},\n  \
-         \"bit_identical\": true,\n  \"smoke\": {smoke}\n}}\n",
+         \"v2\": {},\n  \"fixed_width_bytes\": {},\n  \
+         \"compression_ratio\": {compression_ratio:.3},\n  \
+         \"bit_identical\": true,\n  \"smoke\": {smoke},\n  \"provenance\": {}\n}}\n",
         workloads.len(),
         nostore.cold_s,
         nostore
             .peak_rss
             .map_or("null".to_string(), |b| b.to_string()),
-        format_json(&v1),
-        format_json(&v2),
+        store_json(&v2),
+        v2.fixed_width_bytes,
+        reap_bench::provenance_json(),
     );
     std::fs::write(&out_path, json).expect("write benchmark results");
     println!("wrote {out_path}");
 
-    // `run_format` resets the registry per format, so the snapshot here
-    // covers the v2 cold/warm pair — the store path we actually ship.
+    // `run_store` resets the registry, so the snapshot here covers the
+    // cold/warm store pair.
     if let Some(path) = &metrics_out {
         let mut buf = Vec::new();
         reap_obs::export::write_jsonl(&reap_obs::global().snapshot(), &mut buf)
@@ -301,18 +297,14 @@ fn main() {
 
     let floor = if smoke { 1.0 } else { 2.0 };
     let mut failed = false;
-    for (label, speedup) in [("v1", speedup_v1), ("v2", speedup_v2)] {
-        if speedup < floor {
-            eprintln!(
-                "FAIL: {label} warm sweep below the {floor:.0}x speedup floor ({speedup:.2}x)"
-            );
-            failed = true;
-        }
+    if speedup < floor {
+        eprintln!("FAIL: warm sweep below the {floor:.0}x speedup floor ({speedup:.2}x)");
+        failed = true;
     }
     let size_floor = if smoke { 1.2 } else { 2.0 };
     if compression_ratio < size_floor {
         eprintln!(
-            "FAIL: v2 store only {compression_ratio:.2}x smaller than v1 \
+            "FAIL: store only {compression_ratio:.2}x smaller than fixed-width records \
              (floor {size_floor:.1}x)"
         );
         failed = true;
@@ -323,7 +315,7 @@ fn main() {
     if let (Some(cold), Some(warm)) = (nostore.peak_rss, v2.warm_peak_rss) {
         if cold > 2 * warm {
             eprintln!(
-                "FAIL: storeless sweep peaked at {}, over twice the v2 warm replay's {}",
+                "FAIL: storeless sweep peaked at {}, over twice the warm replay's {}",
                 fmt_rss(Some(cold)),
                 fmt_rss(Some(warm))
             );

@@ -135,7 +135,8 @@ fn main() {
          \"warm_speedup\": {warm_speedup:.3},\n  \
          \"replay_batch_points\": {batch_points},\n  \
          \"warm_store_hits\": {warm_hits},\n  \"warm_store_misses\": {warm_misses},\n  \
-         \"bit_identical\": true,\n  \"smoke\": {smoke}\n}}\n"
+         \"bit_identical\": true,\n  \"smoke\": {smoke},\n  \"provenance\": {}\n}}\n",
+        reap_bench::provenance_json(),
     );
     std::fs::write(&out_path, json).expect("write benchmark results");
     println!("wrote {out_path}");

@@ -13,9 +13,7 @@
 #![warn(missing_docs)]
 
 use reap_core::sweep::pool_map;
-use reap_core::{
-    run_job, CaptureSource, Experiment, KernelMode, ProtectionScheme, Report, SweepMode,
-};
+use reap_core::{run_job, CaptureSource, Experiment, ProtectionScheme, Report, SweepMode};
 use reap_trace::SpecWorkload;
 
 /// Default measured accesses per workload — ~10× the original budget,
@@ -113,16 +111,9 @@ pub fn sweep_all_workloads(accesses: u64) -> Vec<(SpecWorkload, Report)> {
         parallelism,
         "run_parallel",
         |w| {
-            let (_, report) = run_job(
-                &source,
-                w,
-                accesses,
-                DEFAULT_SEED,
-                SweepMode::Standard,
-                KernelMode::Exact,
-            )
-            .expect("paper configuration is valid")
-            .remove(0);
+            let (_, report) = run_job(&source, w, accesses, DEFAULT_SEED, SweepMode::Standard)
+                .expect("paper configuration is valid")
+                .remove(0);
             report
         },
     );
@@ -220,6 +211,35 @@ pub fn peak_rss_bytes() -> Option<u64> {
 /// nothing) where the knob is unavailable or not permitted.
 pub fn reset_peak_rss() -> bool {
     std::fs::write("/proc/self/clear_refs", b"5").is_ok()
+}
+
+/// Where a BENCH result was measured, as a JSON object for its
+/// `provenance` field: the checkout's git revision (`git describe
+/// --always --dirty --abbrev=40`, so uncommitted changes show as
+/// `-dirty`), the `rustc -V` on the path, the cores the process may use
+/// and the host (`uname -nm`). A field that cannot be read is
+/// `"unknown"`.
+pub fn provenance_json() -> String {
+    let run = |program: &str, args: &[&str]| {
+        std::process::Command::new(program)
+            .args(args)
+            .stderr(std::process::Stdio::null())
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
+            .unwrap_or_else(|| "unknown".to_owned())
+    };
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    format!(
+        "{{\"git_rev\": \"{}\", \"rustc\": \"{}\", \"nproc\": {nproc}, \"host\": \"{}\"}}",
+        reap_obs::json::escape(&run(
+            "git",
+            &["describe", "--always", "--dirty", "--abbrev=40"]
+        )),
+        reap_obs::json::escape(&run("rustc", &["-V"])),
+        reap_obs::json::escape(&run("uname", &["-nm"])),
+    )
 }
 
 /// The Fig. 5 metric for a report.

@@ -20,12 +20,11 @@
 
 use crate::capture_source::CaptureSource;
 use crate::capture_store::CaptureStore;
-use crate::checkpoint::{self, CheckpointMeta, CheckpointWriter, SweepRow};
+use crate::checkpoint::{self, CheckpointMeta, SweepRow};
 use crate::experiment::{Experiment, ExperimentError};
 use crate::report::Report;
 use crate::simulator::{EccStrength, Simulator};
 use crate::supervise::{pool_map_supervised, JobError, SupervisorConfig};
-use reap_reliability::KernelMode;
 use reap_trace::SpecWorkload;
 use std::collections::HashMap;
 use std::error::Error;
@@ -74,12 +73,6 @@ pub struct CampaignConfig {
     pub resume: bool,
     /// Persistent exposure-capture cache; `None` recaptures every run.
     pub capture_store: Option<CaptureStore>,
-    /// Run ECC-sweep replays with the batched kernel's fast-math mode
-    /// (documented `5e-9`-relative `exp_m1` shortcut) instead of the
-    /// bit-exact default. Folded into the checkpoint fingerprint so an
-    /// exact checkpoint never resumes into a fast-math run or vice
-    /// versa.
-    pub fast_math: bool,
 }
 
 impl CampaignConfig {
@@ -94,7 +87,6 @@ impl CampaignConfig {
             checkpoint: None,
             resume: false,
             capture_store: None,
-            fast_math: false,
         }
     }
 }
@@ -221,7 +213,6 @@ pub fn run_job(
     accesses: u64,
     seed: u64,
     mode: SweepMode,
-    kernel: KernelMode,
 ) -> Result<Vec<(Option<EccStrength>, Report)>, ExperimentError> {
     let experiment = Experiment::paper_hierarchy()
         .workload(workload)
@@ -241,7 +232,7 @@ pub fn run_job(
             Simulator::new(config)
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let reports = source.replay(&experiment, &points, kernel, 1)?;
+    let reports = source.replay(&experiment, &points, 1)?;
     Ok(eccs.into_iter().zip(reports).collect())
 }
 
@@ -275,48 +266,22 @@ pub fn run_sweep_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Ca
     let _campaign_span = reap_obs::span("campaign");
     let workloads = SpecWorkload::ALL;
     let keys: Vec<String> = workloads.iter().map(|w| w.name().to_owned()).collect();
-    let mode_tag = if config.fast_math {
-        format!("{}+fast-math", config.mode.tag())
-    } else {
-        config.mode.tag().to_owned()
-    };
-    let meta = CheckpointMeta::new(&mode_tag, config.accesses, config.seed, &keys);
+    let meta = CheckpointMeta::new(config.mode.tag(), config.accesses, config.seed, &keys);
 
     // Load and repair the checkpoint when resuming.
-    let mut completed: HashMap<String, Vec<SweepRow>> = HashMap::new();
-    let mut checkpoint_warning = None;
-    let mut writer = None;
-    if let Some(path) = &config.checkpoint {
-        if config.resume && path.exists() {
-            let loaded = checkpoint::load(path)?;
-            if loaded.meta.fingerprint != meta.fingerprint {
-                return Err(CheckpointError::FingerprintMismatch {
-                    expected: meta.fingerprint,
-                    found: loaded.meta.fingerprint,
-                }
-                .into());
-            }
-            if let Some(offset) = loaded.truncated_tail {
-                // Drop the half-written line so appended records start on
-                // a fresh line.
-                reap_fault::truncate_file(path, offset as u64).map_err(|source| {
-                    CheckpointError::Io {
-                        path: path.clone(),
-                        source,
-                    }
-                })?;
-                checkpoint_warning = Some(format!(
-                    "checkpoint {} had a truncated trailing line at byte {offset} \
-                     (crash-interrupted write); dropped it",
-                    path.display()
-                ));
-            }
-            completed = loaded.completed.into_iter().collect();
-            writer = Some(CheckpointWriter::append_to(path)?);
-        } else {
-            writer = Some(CheckpointWriter::create(path, &meta)?);
+    let (mut completed, checkpoint_warning, mut writer) = match &config.checkpoint {
+        Some(path) => {
+            let journal = checkpoint::resume_or_create(
+                path,
+                config.resume,
+                &meta,
+                checkpoint::row_from_json,
+            )?;
+            let completed: HashMap<String, Vec<SweepRow>> = journal.completed.into_iter().collect();
+            (completed, journal.warning, Some(journal.writer))
         }
-    }
+        None => (HashMap::new(), None, None),
+    };
 
     let pending: Vec<SpecWorkload> = workloads
         .into_iter()
@@ -329,13 +294,6 @@ pub fn run_sweep_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Ca
     // this thread: checkpoint them and honour the simulated kill.
     let interrupt_after = config.supervisor.fault_plan.and_then(|p| p.interrupt_after);
     let (accesses, seed, mode) = (config.accesses, config.seed, config.mode);
-    // Fast math only ever applied to the ECC sweep's replays; a standard
-    // sweep scores exactly either way.
-    let kernel = if config.fast_math && mode == SweepMode::EccSweep {
-        KernelMode::FastMath
-    } else {
-        KernelMode::Exact
-    };
     let source = CaptureSource::new(None, config.capture_store.clone());
     let pending_for_pool = pending.clone();
     let mut done_this_run = 0usize;
@@ -351,9 +309,7 @@ pub fn run_sweep_campaign(config: &CampaignConfig) -> Result<CampaignOutcome, Ca
         config.parallelism.max(1),
         pool_name,
         &config.supervisor,
-        move |w| {
-            run_job(&source, w, accesses, seed, mode, kernel).map(|reports| job_rows(&reports))
-        },
+        move |w| run_job(&source, w, accesses, seed, mode).map(|reports| job_rows(&reports)),
         |i, outcome| {
             if let Ok(Ok(rows)) = &outcome.result {
                 if let Some(writer) = writer.as_mut() {
@@ -469,15 +425,7 @@ mod tests {
     fn run_job_matches_direct_runs_bit_for_bit() {
         let source = CaptureSource::default();
         for mode in [SweepMode::Standard, SweepMode::EccSweep] {
-            let reports = run_job(
-                &source,
-                SpecWorkload::Namd,
-                15_000,
-                7,
-                mode,
-                KernelMode::Exact,
-            )
-            .unwrap();
+            let reports = run_job(&source, SpecWorkload::Namd, 15_000, 7, mode).unwrap();
             assert_eq!(
                 reports.len(),
                 if mode == SweepMode::Standard { 1 } else { 3 }

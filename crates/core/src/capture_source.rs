@@ -14,7 +14,7 @@
 //!
 //! A source with neither a hot layer nor a store keeps nothing, so a
 //! one-chunk replay skips the capture altogether: the trace pass feeds
-//! the batched kernel directly ([`Simulator::run_batch_mode`]).
+//! the batched kernel directly ([`Simulator::run_batch`]).
 //!
 //! All paths yield bit-identical reports. Keys are the capture store's
 //! content fingerprint ([`CaptureKey::fingerprint`]), so the hot and
@@ -38,7 +38,7 @@
 //!
 //! ```
 //! use reap_core::capture_store::{CapturePolicy, CaptureStore};
-//! use reap_core::{CaptureSource, Experiment, KernelMode, Simulator};
+//! use reap_core::{CaptureSource, Experiment, Simulator};
 //! use reap_trace::SpecWorkload;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,8 +49,8 @@
 //!     .workload(SpecWorkload::Hmmer)
 //!     .accesses(20_000);
 //! let points = [Simulator::new(experiment.config().clone())?];
-//! let cold = source.replay(&experiment, &points, KernelMode::Exact, 1)?; // trace pass + store write
-//! let warm = source.replay(&experiment, &points, KernelMode::Exact, 2)?; // served from disk
+//! let cold = source.replay(&experiment, &points, 1)?; // trace pass + store write
+//! let warm = source.replay(&experiment, &points, 2)?; // served from disk
 //! assert_eq!(cold[0].l2_stats(), warm[0].l2_stats());
 //! # std::fs::remove_dir_all(dir).ok();
 //! # Ok(())
@@ -62,7 +62,6 @@ use crate::capture_store::{bump, CaptureKey, CapturePolicy, CaptureStore};
 use crate::experiment::{Experiment, ExperimentError};
 use crate::report::Report;
 use crate::simulator::{SimulationError, Simulator};
-use reap_reliability::KernelMode;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -83,7 +82,7 @@ impl CaptureSource {
     }
 
     /// Scores `experiment`'s capture at every analysis point in `points`
-    /// with one batched replay ([`Simulator::replay_batch_mode`]) split
+    /// with one batched replay ([`Simulator::replay_batch_parallel`]) split
     /// across up to `threads` threads, returning one report per point in
     /// input order.
     ///
@@ -94,7 +93,7 @@ impl CaptureSource {
     ///
     /// When no layer keeps the capture — no hot layer, no store, and the
     /// replay is a single chunk — the trace pass feeds the kernel
-    /// directly ([`Simulator::run_batch_mode`]) and nothing is
+    /// directly ([`Simulator::run_batch`]) and nothing is
     /// materialized. The reports are the same bits either way.
     ///
     /// # Errors
@@ -106,7 +105,6 @@ impl CaptureSource {
         &self,
         experiment: &Experiment,
         points: &[Simulator],
-        kernel: KernelMode,
         threads: usize,
     ) -> Result<Vec<Report>, ExperimentError> {
         if self.hot.is_none()
@@ -117,7 +115,7 @@ impl CaptureSource {
                 .configured_workload()
                 .stream(experiment.configured_seed());
             let tracer = Simulator::new(experiment.config().clone())?;
-            return Ok(tracer.run_batch_mode(points, trace, kernel)?);
+            return Ok(tracer.run_batch(points, trace)?);
         }
         let key = CaptureKey::new(
             experiment.configured_workload(),
@@ -129,17 +127,16 @@ impl CaptureSource {
             Some(hot) => hot.get_or_capture(key.fingerprint(), store_or_trace)?,
             None => Arc::new(store_or_trace()?),
         };
-        match Simulator::replay_batch_mode(points, &capture, kernel, threads) {
+        match Simulator::replay_batch_parallel(points, &capture, threads) {
             Err(SimulationError::CaptureStream(defect)) => {
                 bump("capture_source.recapture");
                 eprintln!("warning: capture stream failed mid-replay ({defect}); recapturing");
                 if let Some(hot) = &self.hot {
                     hot.evict(key.fingerprint());
                 }
-                Ok(Simulator::replay_batch_mode(
+                Ok(Simulator::replay_batch_parallel(
                     points,
                     &experiment.capture()?,
-                    kernel,
                     threads,
                 )?)
             }

@@ -509,6 +509,79 @@ where
     })
 }
 
+/// A journal opened for a run: the jobs it already holds, the writer new
+/// results append through, and the repair note when a crash-cut trailing
+/// line was dropped.
+#[derive(Debug)]
+pub struct OpenJournal<R> {
+    /// Completed jobs in journal order (empty for a fresh journal).
+    pub completed: Vec<(String, Vec<R>)>,
+    /// Appends each newly completed job.
+    pub writer: CheckpointWriter,
+    /// Human-readable note that a truncated trailing line was dropped.
+    pub warning: Option<String>,
+}
+
+/// Opens the journal at `path` for the run `meta` identifies.
+///
+/// With `resume` and an existing file, loads it with `parse` (as
+/// [`load_with`]), refuses a foreign fingerprint, truncates a
+/// crash-interrupted trailing line so appended records start on a fresh
+/// line, and reopens the file for appending. Otherwise creates
+/// (truncating) a fresh journal holding only the meta line.
+///
+/// # Errors
+///
+/// Returns what [`load_with`] returns,
+/// [`CheckpointError::FingerprintMismatch`] for another run's journal,
+/// and [`CheckpointError::Io`] when the truncation, reopen or create
+/// fails.
+pub fn resume_or_create<R, F>(
+    path: &Path,
+    resume: bool,
+    meta: &CheckpointMeta,
+    parse: F,
+) -> Result<OpenJournal<R>, CheckpointError>
+where
+    F: Fn(&json::Value) -> Result<R, String>,
+{
+    if !(resume && path.exists()) {
+        return Ok(OpenJournal {
+            completed: Vec::new(),
+            writer: CheckpointWriter::create(path, meta)?,
+            warning: None,
+        });
+    }
+    let loaded = load_with(path, parse)?;
+    if loaded.meta.fingerprint != meta.fingerprint {
+        return Err(CheckpointError::FingerprintMismatch {
+            expected: meta.fingerprint,
+            found: loaded.meta.fingerprint,
+        });
+    }
+    let warning = match loaded.truncated_tail {
+        Some(offset) => {
+            reap_fault::truncate_file(path, offset as u64).map_err(|source| {
+                CheckpointError::Io {
+                    path: path.to_owned(),
+                    source,
+                }
+            })?;
+            Some(format!(
+                "checkpoint {} had a truncated trailing line at byte {offset} \
+                 (crash-interrupted write); dropped it",
+                path.display()
+            ))
+        }
+        None => None,
+    };
+    Ok(OpenJournal {
+        completed: loaded.completed,
+        writer: CheckpointWriter::append_to(path)?,
+        warning,
+    })
+}
+
 fn parse_row(row: &json::Value) -> Result<SweepRow, String> {
     let bits = |key: &str| {
         row.get(key)

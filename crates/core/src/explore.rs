@@ -12,7 +12,7 @@
 //! `read-current` — they only change how events are scored). The
 //! explorer exploits that split: one capture per (geometry, scrub,
 //! workload), served from the [`CaptureStore`] when one is configured,
-//! then [`Simulator::replay_batch_mode`] scores *every* analysis point
+//! then [`Simulator::replay_batch_parallel`] scores *every* analysis point
 //! against that capture in one batched replay, split across the
 //! workers a phase's combos leave idle (`max(1, parallelism / combos)`
 //! threads, so a one-combo grid still uses every core). A grid of
@@ -27,13 +27,13 @@
 //! derived deterministically from the base rows, so a resumed run
 //! refines exactly the same points.
 //!
-//! Completed jobs stream into the PR 3 `reap-checkpoint/1` journal (via
-//! the row-agnostic [`checkpoint::load_with`] /
-//! [`CheckpointWriter::record_json_rows`] entry points); every float
-//! travels as its IEEE-754 bit pattern, making a killed-and-resumed
-//! exploration **bit-identical** to an uninterrupted one — and, because
-//! each job depends only on its own inputs, identical at any
-//! parallelism.
+//! Completed jobs stream into the `reap-checkpoint/1` journal (via the
+//! row-agnostic [`checkpoint::resume_or_create`] and
+//! [`checkpoint::CheckpointWriter::record_json_rows`] entry points);
+//! every float travels as its IEEE-754 bit pattern, making a
+//! killed-and-resumed exploration **bit-identical** to an uninterrupted
+//! one — and, because each job depends only on its own inputs,
+//! identical at any parallelism.
 //!
 //! # Grid grammar
 //!
@@ -54,7 +54,7 @@
 
 use crate::capture_source::CaptureSource;
 use crate::capture_store::CaptureStore;
-use crate::checkpoint::{self, CheckpointError, CheckpointMeta, CheckpointWriter};
+use crate::checkpoint::{self, CheckpointError, CheckpointMeta};
 use crate::experiment::{Experiment, ExperimentError};
 use crate::scheme::ProtectionScheme;
 use crate::simulator::{EccStrength, SimulationConfig, SimulationError, Simulator};
@@ -63,7 +63,7 @@ use reap_cache::{ConfigError, HierarchyConfig};
 use reap_mtj::{MtjParams, ParamsError};
 use reap_nvarray::{estimate, ArraySpec, MemTech, TechnologyNode};
 use reap_obs::json;
-use reap_reliability::{pareto_front_indices, KernelMode, Mttf, ParetoPoint};
+use reap_reliability::{pareto_front_indices, Mttf, ParetoPoint};
 use reap_trace::SpecWorkload;
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
@@ -692,7 +692,7 @@ fn run_combo(
             .accesses(accesses)
             .seed(seed)
             .workload(workload);
-        let reports = source.replay(&experiment, &sims, KernelMode::Exact, threads)?;
+        let reports = source.replay(&experiment, &sims, threads)?;
         duration += reports[0].duration_seconds();
         for (i, report) in reports.iter().enumerate() {
             fail[i] += report.expected_failures(ProtectionScheme::Reap);
@@ -834,38 +834,16 @@ pub fn explore(config: &ExploreConfig) -> Result<ExploreOutcome, ExploreError> {
     let keys: Vec<String> = base_jobs.iter().map(ComboJob::key).collect();
     let meta = CheckpointMeta::new(&mode_tag, config.accesses, config.seed, &keys);
 
-    let mut completed: HashMap<String, Vec<ExploreRow>> = HashMap::new();
-    let mut checkpoint_warning = None;
-    let mut writer = None;
-    if let Some(path) = &config.checkpoint {
-        if config.resume && path.exists() {
-            let loaded = checkpoint::load_with(path, explore_row_from_json)?;
-            if loaded.meta.fingerprint != meta.fingerprint {
-                return Err(CheckpointError::FingerprintMismatch {
-                    expected: meta.fingerprint,
-                    found: loaded.meta.fingerprint,
-                }
-                .into());
-            }
-            if let Some(offset) = loaded.truncated_tail {
-                reap_fault::truncate_file(path, offset as u64).map_err(|source| {
-                    CheckpointError::Io {
-                        path: path.clone(),
-                        source,
-                    }
-                })?;
-                checkpoint_warning = Some(format!(
-                    "checkpoint {} had a truncated trailing line at byte {offset} \
-                     (crash-interrupted write); dropped it",
-                    path.display()
-                ));
-            }
-            completed = loaded.completed.into_iter().collect();
-            writer = Some(CheckpointWriter::append_to(path)?);
-        } else {
-            writer = Some(CheckpointWriter::create(path, &meta)?);
+    let (completed, checkpoint_warning, writer) = match &config.checkpoint {
+        Some(path) => {
+            let journal =
+                checkpoint::resume_or_create(path, config.resume, &meta, explore_row_from_json)?;
+            let completed: HashMap<String, Vec<ExploreRow>> =
+                journal.completed.into_iter().collect();
+            (completed, journal.warning, Some(journal.writer))
         }
-    }
+        None => (HashMap::new(), None, None),
+    };
     let writer = Mutex::new(writer);
     let mut resumed = 0usize;
 

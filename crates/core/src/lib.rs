@@ -70,9 +70,7 @@ pub use capture::{
     HierarchySnapshot, RecordSink, StreamDefect, StreamOpener,
 };
 pub use capture_source::{CaptureSource, HotCache, HotCaptureCache};
-pub use capture_store::{
-    CaptureFormat, CaptureKey, CapturePolicy, CaptureStore, CaptureStoreError,
-};
+pub use capture_store::{CaptureKey, CapturePolicy, CaptureStore, CaptureStoreError};
 pub use checkpoint::{CheckpointError, SweepRow};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use experiment::{Experiment, ExperimentError};
@@ -81,7 +79,6 @@ pub use explore::{
 };
 pub use observer::ReliabilityObserver;
 pub use readpath::ReadPathModel;
-pub use reap_reliability::KernelMode;
 pub use report::Report;
 pub use scheme::ProtectionScheme;
 pub use simulator::{EccStrength, SimulationConfig, Simulator};

@@ -14,7 +14,7 @@ use reap_ecc::{Bch, CodeError, DecoderCost, EccCode, HammingSec};
 use reap_mtj::{read_disturbance_probability, MtjParams};
 use reap_nvarray::{estimate, ArraySpec, MemTech, SpecError, TechnologyNode};
 use reap_reliability::{
-    AccumulationModel, ExposureKind, KernelMode, MultiReplayAggregator, ReplayAggregator,
+    AccumulationModel, ExposureKind, MultiReplayAggregator, ReplayAggregator,
     ScalarMultiReplayAggregator,
 };
 use reap_trace::MemoryAccess;
@@ -267,7 +267,7 @@ impl Simulator {
     /// The trace must supply at least `warmup + measure` accesses;
     /// infinite generator streams always do.
     ///
-    /// The 1-point case of [`run_batch_mode`](Self::run_batch_mode): the
+    /// The 1-point case of [`run_batch`](Self::run_batch): the
     /// trace pass scores each exposure event as the L2 produces it, so
     /// nothing is materialized. Bit-identical to
     /// [`capture`](Self::capture) followed by [`replay`](Self::replay),
@@ -283,8 +283,7 @@ impl Simulator {
     where
         I: IntoIterator<Item = MemoryAccess>,
     {
-        let mut reports =
-            self.run_batch_mode(std::slice::from_ref(self), trace, KernelMode::Exact)?;
+        let mut reports = self.run_batch(std::slice::from_ref(self), trace)?;
         Ok(reports.remove(0))
     }
 
@@ -295,8 +294,8 @@ impl Simulator {
     /// point in input order.
     ///
     /// Bit-identical to [`capture`](Self::capture) followed by
-    /// [`replay_batch_mode`](Self::replay_batch_mode) with one thread
-    /// (property-tested), but no [`ExposureCapture`] is built: memory is
+    /// [`replay_batch`](Self::replay_batch) (property-tested), but no
+    /// [`ExposureCapture`] is built: memory is
     /// the hierarchy plus one feed block, whatever the trace length. Use
     /// it when nothing needs to keep the capture.
     ///
@@ -312,11 +311,10 @@ impl Simulator {
     /// before the trace is touched), and
     /// [`SimulationError::BadParameter`] if the trace ends before the
     /// configured access budget.
-    pub fn run_batch_mode<I>(
+    pub fn run_batch<I>(
         &self,
         points: &[Simulator],
         trace: I,
-        mode: KernelMode,
     ) -> Result<Vec<Report>, SimulationError>
     where
         I: IntoIterator<Item = MemoryAccess>,
@@ -337,8 +335,7 @@ impl Simulator {
         let mut span = reap_obs::span("capture");
         let line_bits = c.hierarchy.l2.line_bits();
         let mut hierarchy = Hierarchy::new(c.hierarchy.clone(), c.replacement);
-        let mut multi =
-            MultiReplayAggregator::with_mode(Self::batch_kernel_points(points, line_bits), mode);
+        let mut multi = MultiReplayAggregator::new(Self::batch_kernel_points(points, line_bits));
         let feed = FeedBlock::new(
             points,
             line_bits,
@@ -398,7 +395,7 @@ impl Simulator {
     /// budgets: the warm-up unobserved, then the measured window into
     /// `observer`, scrubbing the L2 every `scrub_period` measured
     /// accesses. The one trace loop behind [`capture`](Self::capture),
-    /// [`run_batch_mode`](Self::run_batch_mode) and
+    /// [`run_batch`](Self::run_batch) and
     /// [`run_single_pass`](Self::run_single_pass).
     fn drive<I, O>(
         &self,
@@ -594,14 +591,10 @@ impl Simulator {
         points: &[Simulator],
         capture: &ExposureCapture,
     ) -> Result<Vec<Report>, SimulationError> {
-        Self::replay_batch_mode(points, capture, KernelMode::Exact, 1)
+        Self::replay_batch_parallel(points, capture, 1)
     }
 
-    /// [`replay_batch`](Self::replay_batch) with an explicit
-    /// [`KernelMode`] and a thread budget. `KernelMode::Exact` keeps the
-    /// bit-identity contract; `KernelMode::FastMath` permits the
-    /// kernel's documented small-argument `exp_m1` shortcut (every
-    /// scheme sum within `5e-9` relative of exact).
+    /// [`replay_batch`](Self::replay_batch) with a thread budget.
     ///
     /// `points` is split into at most `threads` contiguous chunks whose
     /// boundaries fall on [`MultiReplayAggregator::LANES`] multiples
@@ -618,10 +611,9 @@ impl Simulator {
     /// Returns [`SimulationError::CaptureMismatch`] if any point's
     /// behavioural configuration differs from the capture's, and
     /// [`SimulationError::CaptureStream`] if any chunk's stream fails.
-    pub fn replay_batch_mode(
+    pub fn replay_batch_parallel(
         points: &[Simulator],
         capture: &ExposureCapture,
-        mode: KernelMode,
         threads: usize,
     ) -> Result<Vec<Report>, SimulationError> {
         for sim in points {
@@ -647,7 +639,7 @@ impl Simulator {
             let mut span = reap_obs::span("replay_batch.chunk");
             span.add_events(capture.event_count());
             let kernel_points = Self::batch_kernel_points(chunk, capture.line_bits());
-            let mut multi = MultiReplayAggregator::with_mode(kernel_points, mode);
+            let mut multi = MultiReplayAggregator::new(kernel_points);
             Self::feed_batch(chunk, capture, |records, ones| {
                 multi.record_block(records, ones);
             })?;
@@ -721,8 +713,9 @@ impl Simulator {
         ))
     }
 
-    /// The contiguous chunks [`replay_batch_mode`](Self::replay_batch_mode)
-    /// splits `points` into for a `threads` budget (0 counts as 1):
+    /// The contiguous chunks
+    /// [`replay_batch_parallel`](Self::replay_batch_parallel) splits
+    /// `points` into for a `threads` budget (0 counts as 1):
     /// boundaries on [`MultiReplayAggregator::LANES`] multiples, the last
     /// chunk taking the remainder, no chunk at all for no points.
     pub(crate) fn batch_chunks(points: &[Simulator], threads: usize) -> Chunks<'_, Simulator> {
@@ -846,8 +839,8 @@ const FEED_BLOCK: usize = 64;
 /// per-point weights, in arrival order.
 ///
 /// A stored capture's records are pushed in from its stream
-/// ([`Simulator::replay_batch_mode`]); a fused pass's arrive live from
-/// the L2 through a [`CaptureObserver`] ([`Simulator::run_batch_mode`]).
+/// ([`Simulator::replay_batch_parallel`]); a fused pass's arrive live from
+/// the L2 through a [`CaptureObserver`] ([`Simulator::run_batch`]).
 /// Either way the blocks are identical, so are the bits.
 ///
 /// Blocking serves both halves of the pipeline: one record's hash walk

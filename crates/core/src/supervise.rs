@@ -33,6 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, Once};
 use std::time::Duration;
 
+use crate::sweep::publish_worker_utilization;
 use reap_fault::FaultPlan;
 
 thread_local! {
@@ -386,31 +387,8 @@ where
                         break;
                     }
                 }
-                // Same per-worker utilization gauges as the unsupervised
-                // pool, so dashboards work across both.
                 if let Some(started) = started {
-                    let wall = started.elapsed().as_secs_f64();
-                    let busy = busy.as_secs_f64();
-                    let registry = reap_obs::global();
-                    let prefix = format!("{pool}.worker.{w}");
-                    // `add`, not `set`: repeated pools with the same name
-                    // in one process accumulate seconds across batches,
-                    // with utilization recomputed from the accumulated
-                    // totals. (Same fix the `.jobs` counters got.)
-                    let busy_gauge = registry.gauge(&format!("{prefix}.busy_s"));
-                    let idle_gauge = registry.gauge(&format!("{prefix}.idle_s"));
-                    busy_gauge.add(busy);
-                    idle_gauge.add((wall - busy).max(0.0));
-                    let total_busy = busy_gauge.get();
-                    let total_wall = total_busy + idle_gauge.get();
-                    registry
-                        .gauge(&format!("{prefix}.utilization"))
-                        .set(if total_wall > 0.0 {
-                            total_busy / total_wall
-                        } else {
-                            0.0
-                        });
-                    registry.counter(&format!("{prefix}.jobs")).add(jobs_done);
+                    publish_worker_utilization(pool, w, started, busy, jobs_done);
                 }
             });
         }

@@ -7,7 +7,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Runs `f` over `jobs` on up to `parallelism` threads, returning results
 /// in input order.
@@ -58,7 +58,7 @@ where
             scope.spawn(move || {
                 let started = telemetry.then(Instant::now);
                 let job_span_name = telemetry.then(|| format!("{pool}.job"));
-                let mut busy = std::time::Duration::ZERO;
+                let mut busy = Duration::ZERO;
                 let mut jobs_done = 0u64;
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -82,29 +82,7 @@ where
                         .expect("receiver outlives the scope");
                 }
                 if let Some(started) = started {
-                    let wall = started.elapsed().as_secs_f64();
-                    let busy = busy.as_secs_f64();
-                    let registry = reap_obs::global();
-                    let prefix = format!("{pool}.worker.{w}");
-                    // `add`, not `set`: repeated pools with the same name
-                    // in one process accumulate seconds across batches,
-                    // and utilization is recomputed from the accumulated
-                    // totals so it reflects the whole run, not the last
-                    // batch. (Same fix the `.jobs` counters got.)
-                    let busy_gauge = registry.gauge(&format!("{prefix}.busy_s"));
-                    let idle_gauge = registry.gauge(&format!("{prefix}.idle_s"));
-                    busy_gauge.add(busy);
-                    idle_gauge.add((wall - busy).max(0.0));
-                    let total_busy = busy_gauge.get();
-                    let total_wall = total_busy + idle_gauge.get();
-                    registry
-                        .gauge(&format!("{prefix}.utilization"))
-                        .set(if total_wall > 0.0 {
-                            total_busy / total_wall
-                        } else {
-                            0.0
-                        });
-                    registry.counter(&format!("{prefix}.jobs")).add(jobs_done);
+                    publish_worker_utilization(pool, w, started, busy, jobs_done);
                 }
             });
         }
@@ -119,6 +97,42 @@ where
         .into_iter()
         .map(|slot| slot.expect("every job ran to completion"))
         .collect()
+}
+
+/// Publishes one pool worker's utilization once its loop ends:
+/// `{pool}.worker.{w}.busy_s` / `.idle_s` / `.utilization` gauges and a
+/// `.jobs` counter. Shared by [`pool_map`] and the supervised pool, so
+/// dashboards read both alike.
+///
+/// Seconds and jobs are *added*: repeated pools with the same name in one
+/// process accumulate across batches, and utilization is recomputed from
+/// the accumulated totals so it reflects the whole run, not the last
+/// batch.
+pub(crate) fn publish_worker_utilization(
+    pool: &str,
+    w: usize,
+    started: Instant,
+    busy: Duration,
+    jobs_done: u64,
+) {
+    let wall = started.elapsed().as_secs_f64();
+    let busy = busy.as_secs_f64();
+    let registry = reap_obs::global();
+    let prefix = format!("{pool}.worker.{w}");
+    let busy_gauge = registry.gauge(&format!("{prefix}.busy_s"));
+    let idle_gauge = registry.gauge(&format!("{prefix}.idle_s"));
+    busy_gauge.add(busy);
+    idle_gauge.add((wall - busy).max(0.0));
+    let total_busy = busy_gauge.get();
+    let total_wall = total_busy + idle_gauge.get();
+    registry
+        .gauge(&format!("{prefix}.utilization"))
+        .set(if total_wall > 0.0 {
+            total_busy / total_wall
+        } else {
+            0.0
+        });
+    registry.counter(&format!("{prefix}.jobs")).add(jobs_done);
 }
 
 #[cfg(test)]

@@ -9,22 +9,17 @@
 use proptest::prelude::*;
 use reap_cache::{CacheStats, HierarchyConfig, LineKey, Replacement};
 use reap_core::capture_store::{
-    read_capture_v2, write_capture_v2, CaptureFormat, CaptureKey, CapturePolicy, CaptureStore,
+    read_capture_v2, write_capture_v2, CaptureKey, CapturePolicy, CaptureStore,
 };
 use reap_core::{
     CaptureSource, EccStrength, Experiment, ExposureCapture, ExposureRecord, HierarchySnapshot,
-    HotCaptureCache, KernelMode, ProtectionScheme, Report, Simulator,
+    HotCaptureCache, ProtectionScheme, Report, Simulator,
 };
 use reap_reliability::ExposureKind;
 use reap_trace::SpecWorkload;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
-
-/// An arbitrary on-disk format, so store properties hold for both.
-fn any_format() -> impl Strategy<Value = CaptureFormat> {
-    prop_oneof![Just(CaptureFormat::V1), Just(CaptureFormat::V2)]
-}
 
 /// An arbitrary exposure record: any kind, any key, any read count.
 fn any_record() -> impl Strategy<Value = ExposureRecord> {
@@ -68,9 +63,7 @@ fn ecc_sweep(source: &CaptureSource, experiment: &Experiment) -> Vec<Report> {
         .into_iter()
         .map(|ecc| Simulator::new(experiment.clone().ecc(ecc).config().clone()).unwrap())
         .collect();
-    source
-        .replay(experiment, &points, KernelMode::Exact, 1)
-        .expect("sweep")
+    source.replay(experiment, &points, 1).expect("sweep")
 }
 
 /// Bits of `experiment` replayed through `source` on `threads` threads
@@ -91,7 +84,7 @@ fn six_point_bits(
         })
         .collect();
     source
-        .replay(experiment, &points, KernelMode::Exact, threads)
+        .replay(experiment, &points, threads)
         .expect("sweep")
         .iter()
         .map(report_bits)
@@ -119,7 +112,7 @@ proptest! {
     /// A store round-trip preserves the capture exactly — the loaded
     /// entry's events, metadata and every replayed report are
     /// bit-identical to the in-memory original, for arbitrary workloads,
-    /// seeds, replacement policies and on-disk formats.
+    /// seeds and replacement policies.
     #[test]
     fn store_round_trip_is_bit_identical(
         workload_index in 0usize..21,
@@ -130,7 +123,6 @@ proptest! {
             Just(Replacement::Fifo),
             Just(Replacement::Srrip),
         ],
-        format in any_format(),
     ) {
         let workload = SpecWorkload::ALL[workload_index];
         let experiment = Experiment::paper_hierarchy()
@@ -139,7 +131,7 @@ proptest! {
             .budgets(500, 4_000)
             .seed(seed);
         let dir = scratch("roundtrip");
-        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite).with_format(format);
+        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
 
         let original = experiment.capture().expect("capture");
         let key = CaptureKey::new(workload, seed, experiment.config());
@@ -158,7 +150,7 @@ proptest! {
     }
 
     /// Any corruption of a store entry — truncation, a chopped tail, or
-    /// a silent byte flip anywhere in the file, in either format — makes
+    /// a silent byte flip anywhere in the file — makes
     /// the load fall back to recapture, bumps `capture_store.invalid`,
     /// and leaves the final reports bit-identical to an uncorrupted run.
     /// Never a wrong report.
@@ -168,7 +160,6 @@ proptest! {
         seed in any::<u64>(),
         corruption in 0usize..3,
         damage in any::<u64>(),
-        format in any_format(),
     ) {
         reap_obs::set_enabled(true);
         let workload = SpecWorkload::ALL[workload_index];
@@ -177,7 +168,7 @@ proptest! {
             .budgets(500, 4_000)
             .seed(seed);
         let dir = scratch("corrupt");
-        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite).with_format(format);
+        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
 
         // Reference sweep and a populated store entry.
         let clean = ecc_sweep(&disk(&store), &experiment);
@@ -261,31 +252,80 @@ proptest! {
     }
 }
 
-/// Warm sweeps from a v1 store, a v2 store and no store at all agree
-/// bit-for-bit: the on-disk encoding never leaks into results.
+/// Warm sweeps from a store and from no store at all agree bit-for-bit:
+/// the on-disk encoding never leaks into results.
 #[test]
-fn warm_sweeps_agree_across_formats_and_with_fresh_capture() {
+fn warm_sweeps_agree_with_fresh_capture() {
     let experiment = Experiment::paper_hierarchy()
         .workload(SpecWorkload::Soplex)
         .budgets(500, 6_000)
         .seed(77);
     let fresh = ecc_sweep(&CaptureSource::default(), &experiment);
 
-    let mut warm = Vec::new();
-    for format in [CaptureFormat::V1, CaptureFormat::V2] {
-        let dir = scratch("crossfmt");
-        let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite).with_format(format);
-        ecc_sweep(&disk(&store), &experiment);
-        warm.push(ecc_sweep(&disk(&store), &experiment));
-        std::fs::remove_dir_all(dir).ok();
+    let dir = scratch("warm");
+    let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
+    ecc_sweep(&disk(&store), &experiment);
+    let warm = ecc_sweep(&disk(&store), &experiment);
+    std::fs::remove_dir_all(dir).ok();
+
+    assert_eq!(warm.len(), fresh.len());
+    for (a, b) in fresh.iter().zip(&warm) {
+        assert_eq!(report_bits(a), report_bits(b));
+    }
+}
+
+/// An entry of the retired fixed-width format (version byte 1) is never
+/// decoded: the load counts it invalid, the replay recaptures to the
+/// bits of a storeless run, and the recapture rewrites the entry as v2
+/// so the next load is a hit.
+#[test]
+fn retired_v1_entry_is_recaptured_and_rewritten_as_v2() {
+    reap_obs::set_enabled(true);
+    let experiment = Experiment::paper_hierarchy()
+        .workload(SpecWorkload::Hmmer)
+        .budgets(500, 6_000)
+        .seed(19);
+    let dir = scratch("retired-v1");
+    let store = CaptureStore::new(&dir, CapturePolicy::ReadWrite);
+    ecc_sweep(&disk(&store), &experiment);
+    let key = CaptureKey::new(SpecWorkload::Hmmer, 19, experiment.config());
+    let path = store.entry_path(&key);
+    let original = std::fs::read(&path).expect("entry written");
+    assert_eq!(original[4], 2, "entries are written as v2");
+    // Version byte 1 under a matching header checksum (FNV-1a over the
+    // 345 header bytes, stored right after them): only the version check
+    // can turn the entry away.
+    let mut bytes = original.clone();
+    bytes[4] = 1;
+    let sum = bytes[..345].iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    bytes[345..353].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("rewrite version byte");
+
+    let invalid_before = counter("capture_store.invalid");
+    assert!(store.load(&key).is_none(), "a v1 entry must not load");
+    assert!(
+        counter("capture_store.invalid") > invalid_before,
+        "the retired entry must count as invalid"
+    );
+
+    let storeless = ecc_sweep(&CaptureSource::default(), &experiment);
+    let recaptured = ecc_sweep(&disk(&store), &experiment);
+    assert_eq!(recaptured.len(), storeless.len());
+    for (a, b) in storeless.iter().zip(&recaptured) {
+        assert_eq!(report_bits(a), report_bits(b));
     }
 
-    for sweep in &warm {
-        assert_eq!(sweep.len(), fresh.len());
-        for (a, b) in fresh.iter().zip(sweep) {
-            assert_eq!(report_bits(a), report_bits(b));
-        }
-    }
+    let rewritten = std::fs::read(&path).expect("entry rewritten");
+    assert!(
+        rewritten == original,
+        "the recapture rewrites the original v2 bytes"
+    );
+    let hits_before = counter("capture_store.hit");
+    assert!(store.load(&key).is_some(), "the rewritten entry must load");
+    assert!(counter("capture_store.hit") > hits_before);
+    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]

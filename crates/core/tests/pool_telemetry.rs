@@ -197,13 +197,8 @@ fn chunked_replay_counts_chunks_outside_the_pool_metrics() {
     // 9 points are 3 lanes: 3 chunks of at most 4 points at threads = 3,
     // and the same 3 chunks when 5 threads are offered.
     for threads in [3, 5] {
-        let reports = reap_core::Simulator::replay_batch_mode(
-            &points,
-            &capture,
-            reap_core::KernelMode::Exact,
-            threads,
-        )
-        .unwrap();
+        let reports =
+            reap_core::Simulator::replay_batch_parallel(&points, &capture, threads).unwrap();
         assert_eq!(reports.len(), 9);
     }
     reap_obs::set_enabled(false);

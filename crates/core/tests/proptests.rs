@@ -318,13 +318,13 @@ proptest! {
     }
 
     /// The fused pass is a pure memory optimisation: driving the trace
-    /// straight into the batched kernel ([`Simulator::run_batch_mode`])
+    /// straight into the batched kernel ([`Simulator::run_batch`])
     /// returns exactly the reports of capturing first and replaying the
     /// capture on one thread — every scheme sum, energy, access time,
     /// histogram bin and snapshot counter — across profiles, seeds, L2
     /// associativities and access modes, scrub periods, all six
-    /// replacement policies, both kernel modes and 1–9 points mixing
-    /// ECC strengths and read currents.
+    /// replacement policies and 1–9 points mixing ECC strengths and read
+    /// currents.
     #[test]
     fn fused_pass_is_bit_identical_to_capture_then_replay(
         trace in (0usize..21, any::<u64>()),
@@ -343,7 +343,6 @@ proptest! {
         ],
         num_points in 1usize..=9,
         point_seed in any::<u64>(),
-        fast in any::<bool>(),
     ) {
         let (workload_index, seed) = trace;
         let (ways, scrub, serial) = geometry;
@@ -368,14 +367,12 @@ proptest! {
                     .expect("simulator")
             })
             .collect();
-        let kernel = if fast { KernelMode::FastMath } else { KernelMode::Exact };
         let tracer = Simulator::new(base.config().clone()).expect("simulator");
         let fused = tracer
-            .run_batch_mode(&points, workload.stream(seed), kernel)
+            .run_batch(&points, workload.stream(seed))
             .expect("fused pass");
         let capture = tracer.capture(workload.stream(seed)).expect("capture");
-        let replayed =
-            Simulator::replay_batch_mode(&points, &capture, kernel, 1).expect("replay");
+        let replayed = Simulator::replay_batch(&points, &capture).expect("replay");
         prop_assert_eq!(fused.len(), num_points);
         for (got, want) in fused.iter().zip(&replayed) {
             prop_assert_eq!(report_signature(got), report_signature(want));
@@ -386,14 +383,13 @@ proptest! {
     /// bits: for 1–13 heterogeneous points (full 4-lane chunks,
     /// remainders, and budgets with more threads than lanes), every
     /// thread budget up to 5 returns exactly the reports of the
-    /// one-thread replay, in either kernel mode.
+    /// one-thread replay.
     #[test]
     fn chunked_replay_is_bit_identical_across_thread_budgets(
         workload_index in 0usize..21,
         seed in any::<u64>(),
         num_points in 1usize..=13,
         point_seed in any::<u64>(),
-        fast in any::<bool>(),
     ) {
         let base = Experiment::paper_hierarchy()
             .workload(SpecWorkload::ALL[workload_index])
@@ -412,9 +408,8 @@ proptest! {
                     .expect("simulator")
             })
             .collect();
-        let mode = if fast { KernelMode::FastMath } else { KernelMode::Exact };
         let bits = |threads: usize| -> Vec<(Vec<u64>, reap_reliability::LogHistogram)> {
-            Simulator::replay_batch_mode(&points, &capture, mode, threads)
+            Simulator::replay_batch_parallel(&points, &capture, threads)
                 .expect("batch")
                 .iter()
                 .map(|r| {
@@ -734,9 +729,7 @@ fn fused_pass_rejects_a_point_with_another_behaviour() {
             Simulator::new(other.config().clone()).unwrap(),
         ];
         // An empty trace: the check must fail before any access is read.
-        let err = tracer
-            .run_batch_mode(&points, std::iter::empty(), KernelMode::Exact)
-            .unwrap_err();
+        let err = tracer.run_batch(&points, std::iter::empty()).unwrap_err();
         assert!(
             matches!(err, SimulationError::CaptureMismatch(_)),
             "{other:?}: {err}"
@@ -746,7 +739,7 @@ fn fused_pass_rejects_a_point_with_another_behaviour() {
     let fine = [Simulator::new(base.clone().ecc(EccStrength::Tec).config().clone()).unwrap()];
     assert_eq!(
         tracer
-            .run_batch_mode(&fine, SpecWorkload::Gcc.stream(3), KernelMode::Exact)
+            .run_batch(&fine, SpecWorkload::Gcc.stream(3))
             .unwrap()
             .len(),
         1

@@ -98,6 +98,10 @@ pub enum KernelMode {
     /// approximation is used, bounding each event's relative error by
     /// `5e-9` (and therefore each accumulated sum's relative error by
     /// the same factor). Not bit-identical to [`KernelMode::Exact`].
+    ///
+    /// No pipeline entry point uses it: every sweep, exploration and
+    /// served job scores exactly. It remains for the benchmark's
+    /// per-layer walk, which prices it as `kernel.fastmath.*`.
     FastMath,
 }
 

@@ -24,8 +24,7 @@ use crate::signal;
 use reap_core::campaign::{self, job_rows};
 use reap_core::checkpoint::{self, CheckpointWriter};
 use reap_core::{
-    pool_map_supervised, CaptureSource, CaptureStore, HotCaptureCache, JobError, KernelMode,
-    SupervisorConfig,
+    pool_map_supervised, CaptureSource, CaptureStore, HotCaptureCache, JobError, SupervisorConfig,
 };
 use reap_fault::ConnectionFault;
 use reap_trace::SpecWorkload;
@@ -392,15 +391,10 @@ fn run_job(state: &Arc<ServerState>, handle: &Arc<JobHandle>) {
     // codec), then append new results to the same journal.
     let mut done: HashSet<String> = HashSet::new();
     let mut resumed = 0u64;
-    let writer = if journal.exists() {
-        match checkpoint::load(&journal) {
-            Ok(loaded) if loaded.meta.fingerprint == meta.fingerprint => {
-                if let Some(offset) = loaded.truncated_tail {
-                    // Drop the crash-interrupted half line so appended
-                    // records start on a fresh line.
-                    let _ = reap_fault::truncate_file(&journal, offset as u64);
-                }
-                for (key, rows) in &loaded.completed {
+    let writer =
+        match checkpoint::resume_or_create(&journal, true, &meta, checkpoint::row_from_json) {
+            Ok(opened) => {
+                for (key, rows) in opened.completed {
                     let Some(index) = SpecWorkload::ALL.iter().position(|w| w.name() == key) else {
                         continue;
                     };
@@ -408,21 +402,19 @@ fn run_job(state: &Arc<ServerState>, handle: &Arc<JobHandle>) {
                         index: index as u64,
                         key: key.clone(),
                         resumed: true,
-                        rows: rows.clone(),
+                        rows,
                     });
-                    done.insert(key.clone());
+                    done.insert(key);
                     resumed += 1;
                     bump("serve.rows.resumed");
                 }
-                CheckpointWriter::append_to(&journal)
+                Ok(opened.writer)
             }
-            // Corrupt or foreign journal under our name: recompute from
-            // scratch rather than serving rows we cannot trust.
-            _ => CheckpointWriter::create(&journal, &meta),
-        }
-    } else {
-        CheckpointWriter::create(&journal, &meta)
-    };
+            // Corrupt or foreign journal under our name, or one whose torn
+            // tail cannot be cut: recompute from scratch rather than serving
+            // rows we cannot trust or appending after a half line.
+            Err(_) => CheckpointWriter::create(&journal, &meta),
+        };
     let mut writer = match writer {
         Ok(writer) => writer,
         Err(e) => {
@@ -475,16 +467,9 @@ fn run_job(state: &Arc<ServerState>, handle: &Arc<JobHandle>) {
         "serve.pool",
         &supervisor,
         move |(_, workload)| {
-            campaign::run_job(
-                &source,
-                workload,
-                spec.accesses,
-                spec.seed,
-                spec.mode,
-                KernelMode::Exact,
-            )
-            .map(|reports| job_rows(&reports))
-            .map_err(|e| e.to_string())
+            campaign::run_job(&source, workload, spec.accesses, spec.seed, spec.mode)
+                .map(|reports| job_rows(&reports))
+                .map_err(|e| e.to_string())
         },
         |slot, outcome| {
             let (index, key) = keys[slot];

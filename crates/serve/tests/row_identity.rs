@@ -11,9 +11,7 @@ use proptest::prelude::*;
 use reap_core::campaign::{job_rows, run_job};
 use reap_core::capture_store::{CapturePolicy, CaptureStore};
 use reap_core::checkpoint::row_to_json;
-use reap_core::{
-    CaptureSource, EccStrength, Experiment, HotCaptureCache, KernelMode, SweepMode, SweepRow,
-};
+use reap_core::{CaptureSource, EccStrength, Experiment, HotCaptureCache, SweepMode, SweepRow};
 use reap_trace::SpecWorkload;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,7 +38,7 @@ fn rows(
     seed: u64,
     mode: SweepMode,
 ) -> String {
-    let reports = run_job(source, workload, accesses, seed, mode, KernelMode::Exact).unwrap();
+    let reports = run_job(source, workload, accesses, seed, mode).unwrap();
     job_rows(&reports)
         .iter()
         .map(row_to_json)

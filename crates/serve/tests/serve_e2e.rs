@@ -5,7 +5,7 @@
 
 use reap_core::campaign::{job_rows, run_job};
 use reap_core::checkpoint::row_to_json;
-use reap_core::{CaptureSource, KernelMode, SupervisorConfig, SweepMode, SweepRow};
+use reap_core::{CaptureSource, SupervisorConfig, SweepMode, SweepRow};
 use reap_fault::FaultPlan;
 use reap_serve::protocol::{Request, Response};
 use reap_serve::{request_one, serve, submit, ClientConfig, JobSpec, ServeConfig, SubmitOutcome};
@@ -154,7 +154,6 @@ fn offline(spec: &JobSpec) -> Vec<(String, Vec<SweepRow>)> {
                         spec.accesses,
                         spec.seed,
                         spec.mode,
-                        KernelMode::Exact,
                     )
                     .expect("offline rows"),
                 ),
